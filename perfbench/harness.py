@@ -1,12 +1,17 @@
 """Run one workload: set-up, timed passes, checks, metrics, result line.
 
 A *pass* runs every unit of the workload's list once, in order.  The
-timed phase repeats passes until ``--seconds`` of unit time is spent
-(at least one pass), so a run always covers the whole list and its
-output digest and ``ratio_mean`` depend on the seed alone.  Workloads
-whose users start from fresh objects rebuild their inputs before every
-pass after the first, untimed; each rebuild is one more ``setup_s``
-sample.
+timed phase repeats passes for about ``--seconds`` of unit time (at
+least three), so a run always covers the whole list and its output digest
+and ``ratio_mean`` depend on the seed alone.  Workloads whose users
+start from fresh objects rebuild their inputs before every pass after
+the first, untimed; each rebuild is one more ``setup_s`` sample.
+
+A unit's latency is its fastest pass.  On a shared host a neighbour
+only ever adds time, in bursts of seconds to minutes, and the fastest
+of several passes spread over the run is the sample least touched by
+them; ``units_per_s`` and the percentiles are taken over these
+per-unit latencies.
 
 ``--trace 0`` reports the end-to-end metrics.  ``--trace 1`` runs the
 passes twice, untraced (for ``--seconds / 2``) and then traced (the
@@ -25,6 +30,7 @@ import os
 import platform
 import statistics
 import subprocess
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro.api import algorithm_names
@@ -33,10 +39,17 @@ from perfbench.spans import Tracer, clock, instrument
 from perfbench.workloads import ROOT, WORKLOADS, Workload, canonical
 
 OUT_DIR = ROOT / ".perfbench"
-SETUP_REPS = {"full": (5, 1.0), "tiny": (1, 0.0)}
+SETUP_REPS = {"full": (5, 0.5), "tiny": (1, 0.0)}
 """Set-up samples taken before timing: at least this many, and at
-least this many seconds of them, so a set-up of milliseconds still
-yields a steady median."""
+least this many seconds of them."""
+PASS_SETUP_S = {"full": 0.25, "tiny": 0.0}
+"""Seconds of set-up samples before each later pass of a workload that
+starts every pass from fresh inputs.  Spread over the run like the
+passes, they keep a set-up of milliseconds from being measured in one
+short, possibly noisy, stretch."""
+MIN_PASSES = {"full": 3, "tiny": 1}
+"""Timed passes of an untraced run, at the least: a unit's latency is
+the fastest of them."""
 
 END_TO_END = {
     "setup_s": "s",
@@ -62,20 +75,30 @@ class Passes:
     """Per pass, per unit: sha256 of the canonical output.  Later passes
     keep only these, so their reports do not pile up on the heap."""
     errors: list = field(default_factory=list)
-    latencies: list = field(default_factory=list)
-    """Seconds per unit, every unit of every pass."""
-    walls: list = field(default_factory=list)
-    """Summed unit seconds of each pass."""
+    times: list = field(default_factory=list)
+    """Per pass, per unit: seconds."""
+    peak_rss_mb: float = 0.0
+    """Peak RSS once the first timed pass is done: later passes repeat
+    its work, and how much the heap fragments over a varying number of
+    them says nothing about the program."""
 
     @property
     def wall(self) -> float:
-        return sum(self.walls)
+        """Unit seconds of every pass."""
+        return sum(map(sum, self.times))
+
+    @property
+    def samples(self) -> int:
+        return sum(map(len, self.times))
+
+    @property
+    def best(self) -> list:
+        """Per unit: its fastest pass, in seconds."""
+        return [min(unit) for unit in zip(*self.times)]
 
     @property
     def units_per_s(self) -> float:
-        """Median over passes: one pass slowed by a noisy neighbour on a
-        shared host does not move it."""
-        return statistics.median(len(self.units) / wall for wall in self.walls)
+        return len(self.units) / sum(self.best)
 
     @property
     def digest(self) -> str:
@@ -83,45 +106,69 @@ class Passes:
         return _sha256("\n".join(self.hashes[0]))
 
 
-def prepare(workload: Workload) -> float:
-    """Set-up, timed from a collected heap (see :func:`run_passes`)."""
+@contextmanager
+def collected_heap():
+    """Collect, then freeze what survives for the duration.
+
+    CPython's collector runs after a count of allocations, so from a
+    collected heap its pauses land on the same units in every run at one
+    seed; frozen objects (the benchmark's own: earlier inputs, kept
+    reports) are not scanned by those pauses, so what the benchmark
+    keeps does not tax the program's timings.
+    """
     gc.collect()
-    return workload.prepare()
+    gc.freeze()
+    try:
+        yield
+    finally:
+        gc.unfreeze()
+
+
+def prepare(workload: Workload) -> float:
+    """Set-up, timed from a collected heap."""
+    with collected_heap():
+        return workload.prepare()
+
+
+def set_up(workload: Workload, least: int, seconds: float) -> list[float]:
+    """At least ``least`` set-ups and ``seconds`` of them; the inputs of
+    the last one stay."""
+    samples = []
+    while len(samples) < least or sum(samples) < seconds:
+        samples.append(prepare(workload))
+    return samples
 
 
 def run_passes(workload: Workload, setups: list, *, seconds: float | None = None,
-               count: int | None = None, tracer: Tracer | None = None) -> Passes:
-    """Passes until ``seconds`` of unit time are spent, or ``count`` passes.
-
-    Each pass starts from a collected heap: CPython's collector runs
-    after a count of allocations, so from a fixed start state its pauses
-    land on the same units in every run at one seed.
+               least: int = 1, count: int | None = None,
+               tracer: Tracer | None = None) -> Passes:
+    """``count`` passes, or at least ``least`` and then for about
+    ``seconds`` of unit time: the next pass starts while the time left
+    exceeds half a pass.  Each pass runs from a collected heap.
     """
     done = Passes()
     while True:
         if workload.used and workload.fresh_per_pass:
-            setups.append(prepare(workload))
+            setups += set_up(workload, 1, PASS_SETUP_S[workload.scale])
         units = workload.units()
         done.units = done.units or units
         handle = instrument(tracer) if tracer is not None and workload.in_process else None
-        outputs, errors = [], []
-        done.walls.append(0.0)
-        gc.collect()
+        outputs, errors, times = [], [], []
+        done.times.append(times)
         try:
-            for unit in units:
-                start = clock()
-                span = tracer.begin("unit") if tracer is not None else None
-                try:
-                    outputs.append(unit.run())
-                    errors.append(None)
-                except Exception as error:  # noqa: BLE001 - a failed unit is a result
-                    outputs.append(None)
-                    errors.append(f"{unit.label}: {type(error).__name__}: {error}")
-                if span is not None:
-                    tracer.end(span)
-                elapsed = clock() - start
-                done.latencies.append(elapsed)
-                done.walls[-1] += elapsed
+            with collected_heap():
+                for unit in units:
+                    start = clock()
+                    span = tracer.begin("unit") if tracer is not None else None
+                    try:
+                        outputs.append(unit.run())
+                        errors.append(None)
+                    except Exception as error:  # noqa: BLE001 - a failed unit is a result
+                        outputs.append(None)
+                        errors.append(f"{unit.label}: {type(error).__name__}: {error}")
+                    if span is not None:
+                        tracer.end(span)
+                    times.append(clock() - start)
         finally:
             if handle is not None:
                 handle.restore()
@@ -131,7 +178,10 @@ def run_passes(workload: Workload, setups: list, *, seconds: float | None = None
         done.errors.append(errors)
         if count is not None and len(done.hashes) >= count:
             return done
-        if count is None and done.wall >= seconds:
+        passes = len(done.times)
+        if passes == 1:
+            done.peak_rss_mb = workload.peak_rss_mb()
+        if count is None and passes >= least and done.wall * (1 + 0.5 / passes) >= seconds:
             return done
 
 
@@ -309,27 +359,27 @@ def run(name: str, seed: int, seconds: float, trace: bool, scale: str = "full") 
         warm_up(name, seed)
     workload = WORKLOADS[name](seed, scale)
     try:
-        reps, least = SETUP_REPS[scale]
-        setups = []
-        while len(setups) < reps or sum(setups) < least:
-            setups.append(prepare(workload))
-        plain = run_passes(workload, setups, seconds=seconds / 2 if trace else seconds)
-        peak_rss_mb = workload.peak_rss_mb()  # before the checks add their own
+        setups = set_up(workload, *SETUP_REPS[scale])
+        if trace:
+            plain = run_passes(workload, setups, seconds=seconds / 2)
+        else:
+            plain = run_passes(workload, setups, seconds=seconds, least=MIN_PASSES[scale])
         problems = failures(workload, plain)
-        attempted = len(plain.latencies)
+        attempted = plain.samples
         detail = {
             "envelope": envelope(workload, plain),
             "digest": plain.digest,
             "passes": len(plain.hashes),
-            "samples": len(plain.latencies),
+            "samples": plain.samples,
+            "units": len(plain.units),
         }
         if not trace:
             values = {
                 "setup_s": statistics.median(setups),
                 "units_per_s": plain.units_per_s,
-                "unit_p50_ms": percentile_ms(plain.latencies, 50),
-                "unit_p90_ms": percentile_ms(plain.latencies, 90),
-                "peak_rss_mb": peak_rss_mb,
+                "unit_p50_ms": percentile_ms(plain.best, 50),
+                "unit_p90_ms": percentile_ms(plain.best, 90),
+                "peak_rss_mb": plain.peak_rss_mb,
                 "ratio_mean": workload.ratio_mean(plain.units, plain.outputs),
             }
             metrics = {k: {"value": v, "unit": END_TO_END[k]} for k, v in values.items()}
@@ -344,7 +394,7 @@ def run(name: str, seed: int, seconds: float, trace: bool, scale: str = "full") 
             summary = _merge(tracer.summary(), workload.stop_tracing())
             tracer.dump(OUT_DIR / f"spans-{name}-seed{seed}.json")
             problems += failures(workload, traced)
-            attempted += len(traced.latencies)
+            attempted += traced.samples
             detail["traced_digest"] = traced.digest
             if detail["traced_digest"] != detail["digest"]:
                 problems.append("traced run's digest differs from the untraced run's")
