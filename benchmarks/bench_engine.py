@@ -90,7 +90,7 @@ def test_bench_engine_trace_off(benchmark):
         rounds=1,
         iterations=1,
     )
-    assert result.total_messages == 0  # accounting disabled
+    assert result.total_payload is None  # payload sizing skipped
 
 
 def test_bench_engine_faulty_delivery(benchmark):

@@ -16,9 +16,13 @@ from repro.analysis import format_table
 from repro.api import SimulationSpec, simulate
 from repro.graphs import generators
 from repro.local_model.congest_gather import congest_gather_views
-from repro.local_model.congest_runtime import runs_in_congest
-from repro.local_model.engine import MessageTooLargeError
+from repro.local_model.engine import (
+    CongestScheduler,
+    MessageTooLargeError,
+    SimulationEngine,
+)
 from repro.local_model.gather import GatherAlgorithm, gather_views
+from repro.local_model.network import Network
 
 
 def main() -> None:
@@ -56,9 +60,14 @@ def main() -> None:
         except MessageTooLargeError as error:
             print(f"  {name}: {error}")
             rows.append([name, "no"])
-    # Raw view gathering is not a registry algorithm; drive it directly.
-    fits, _ = runs_in_congest(graph, lambda: GatherAlgorithm(3), ids_per_message=4)
-    rows.append(["radius-3 gathering", "yes" if fits else "no"])
+    # Raw view gathering is not a registry algorithm; drive the engine
+    # directly with the CONGEST scheduler.
+    engine = SimulationEngine(Network(graph), CongestScheduler(ids_per_message=4))
+    try:
+        engine.run(lambda: GatherAlgorithm(3))
+        rows.append(["radius-3 gathering", "yes"])
+    except MessageTooLargeError:
+        rows.append(["radius-3 gathering", "no"])
     print(format_table(["protocol", "fits"], rows))
     print(
         "\nD2 ships closed neighborhoods (Θ(Δ) ids): CONGEST-feasible only"

@@ -11,10 +11,10 @@ Usage: python examples/local_simulation_walkthrough.py
 from repro.core.algorithm1 import decide_membership
 from repro.core.radii import RadiusPolicy
 from repro.graphs import generators
+from repro.local_model.engine import SimulationEngine
 from repro.local_model.gather import GatherAlgorithm, gather_views
 from repro.local_model.identifiers import spread_ids
 from repro.local_model.network import Network
-from repro.local_model.runtime import SynchronousRuntime
 
 
 def main() -> None:
@@ -28,10 +28,11 @@ def main() -> None:
     print(f"node at vertex 0: uid={node.uid}, degree={node.degree}")
     print("  (it does NOT know its neighbors' uids yet)\n")
 
-    # 2. Run the gathering protocol for radius 2 and watch the trace.
-    runtime = SynchronousRuntime(network, max_rounds=10)
-    result = runtime.run(lambda: GatherAlgorithm(2))
-    for stats in result.trace.rounds:
+    # 2. Run the gathering protocol for radius 2 on the engine (LOCAL
+    #    scheduler, full per-round trace by default) and watch the trace.
+    engine = SimulationEngine(network, max_rounds=10)
+    result = engine.run(lambda: GatherAlgorithm(2))
+    for stats in result.round_stats:
         print(
             f"round {stats.round_index}: {stats.messages} messages, "
             f"{stats.payload_units} payload units"

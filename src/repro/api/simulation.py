@@ -65,8 +65,9 @@ class SimulationSpec:
     * ``max_rounds`` — the round limit; exceeding it raises instead of
       hanging;
     * ``trace`` — ``"full"`` (per-round stats), ``"stats"`` (aggregate
-      totals only), or ``"off"`` (no accounting at all), so large
-      sweeps need not hold per-round traces in memory;
+      totals only), or ``"off"`` (message count only, no payload
+      sizing), so large sweeps need not hold per-round traces in
+      memory;
     * ``seed`` — drives the fault RNG and the ``"shuffled"`` identifier
       scheme; recorded for provenance;
     * ``faults`` — optional :class:`~repro.local_model.engine.FaultPlan`
@@ -135,8 +136,9 @@ class SimReport:
     ``outputs`` is keyed by graph vertex (simulator bookkeeping labels),
     so reports are comparable across identifier schemes; crashed nodes
     never halt and are absent.  ``round_stats`` is ``None`` unless the
-    spec asked for ``trace="full"``; under ``trace="off"`` the
-    message/payload totals stay zero.
+    spec asked for ``trace="full"``.  ``total_messages`` is always
+    counted; ``total_payload`` is ``None`` when payload sizes were not
+    measured (``trace="off"`` under a model other than CONGEST).
     """
 
     algorithm: str
@@ -147,7 +149,7 @@ class SimReport:
     outputs: dict = field(default_factory=dict)
     rounds: int = 0
     total_messages: int = 0
-    total_payload: int = 0
+    total_payload: int | None = 0
     dropped_messages: int = 0
     """Messages lost to the fault plan's ``drop_probability`` RNG."""
     swallowed_messages: int = 0

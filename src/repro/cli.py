@@ -397,9 +397,10 @@ def _cmd_simulate(args) -> int:
         f"family={args.family} n={graph.number_of_nodes()} "
         f"m={graph.number_of_edges()} model={report.model}"
     )
+    payload = "n/a" if report.total_payload is None else report.total_payload
     print(
         f"algorithm={report.algorithm} rounds={report.rounds} "
-        f"messages={report.total_messages} payload={report.total_payload}"
+        f"messages={report.total_messages} payload={payload}"
     )
     if report.dropped_messages or report.crashed:
         print(

@@ -186,13 +186,13 @@ class DistributedGreedyProtocolFull(DistributedGreedyProtocol):
 
 def run_distributed_greedy(graph: nx.Graph, ids=None) -> AlgorithmResult:
     """Execute the message protocol; returns the standard result record."""
+    from repro.local_model.engine import SimulationEngine
     from repro.local_model.network import Network
-    from repro.local_model.runtime import SynchronousRuntime
 
-    network = Network(graph, ids)
-    result = SynchronousRuntime(network, max_rounds=40 * graph.number_of_nodes() + 40).run(
-        DistributedGreedyProtocolFull
+    engine = SimulationEngine(
+        Network(graph, ids), max_rounds=40 * graph.number_of_nodes() + 40
     )
+    result = engine.run(DistributedGreedyProtocolFull)
     chosen = {v for v, member in result.outputs.items() if member}
     return AlgorithmResult(
         name="distributed_greedy_protocol",

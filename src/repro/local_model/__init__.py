@@ -11,13 +11,12 @@ Layers:
 
 * :mod:`repro.local_model.network` / :mod:`node` — the simulated
   processors and links;
-* :mod:`repro.local_model.engine` — the unified simulation engine:
-  one synchronous round loop with pluggable model schedulers (LOCAL /
-  CONGEST), fault plans (message drops, node crashes), and trace
-  policies (``full``/``stats``/``off``);
-* :mod:`repro.local_model.runtime` / :mod:`congest_runtime` — thin
-  deprecated wrappers keeping the historical ``SynchronousRuntime`` /
-  ``CongestRuntime`` names alive on top of the engine;
+* :mod:`repro.local_model.engine` — the simulation engine: one round
+  loop with one delivery path, parameterised by a model scheduler
+  (LOCAL and CONGEST deliver every message next round; the async and
+  adversarial schedulers of :mod:`schedulers` delay and reorder), fault
+  plans (message drops, node crashes), churn and Byzantine plans
+  (:mod:`adversary`), and trace policies (``full``/``stats``/``off``);
 * :mod:`repro.local_model.algorithm` — the per-node algorithm interface;
 * :mod:`repro.local_model.gather` — the radius-r *view gathering*
   primitive: after ``r + 1`` rounds every vertex knows the induced
@@ -46,11 +45,12 @@ from repro.local_model.identifiers import (
     spread_ids,
 )
 from repro.local_model.network import Network
-from repro.local_model.runtime import RunResult, SynchronousRuntime
-
+from repro.local_model.schedulers import AdversarialScheduler, AsyncScheduler
 from repro.local_model.views import View
 
 __all__ = [
+    "AdversarialScheduler",
+    "AsyncScheduler",
     "CongestScheduler",
     "EngineResult",
     "FaultPlan",
@@ -58,10 +58,8 @@ __all__ = [
     "LocalScheduler",
     "MessageTooLargeError",
     "Network",
-    "RunResult",
     "Scheduler",
     "SimulationEngine",
-    "SynchronousRuntime",
     "View",
     "ViewAlgorithm",
     "gather_views",

@@ -27,10 +27,10 @@ import networkx as nx
 
 from repro.graphs.util import distances_from
 from repro.local_model.algorithm import LocalAlgorithm
+from repro.local_model.engine import SimulationEngine
 from repro.local_model.instrumentation import Trace
 from repro.local_model.network import Network
 from repro.local_model.node import NodeContext
-from repro.local_model.runtime import SynchronousRuntime
 from repro.local_model.views import View
 
 Vertex = Hashable
@@ -143,7 +143,8 @@ def congest_gather_views(
     deadline = radius + 1 + (worst_volume + budget - 1) // budget + 2
 
     network = Network(graph, ids)
-    runtime = SynchronousRuntime(network, max_rounds=deadline + 2)
-    result = runtime.run(lambda: CongestGatherAlgorithm(radius, budget, deadline))
+    result = SimulationEngine(network, max_rounds=deadline + 2).run(
+        lambda: CongestGatherAlgorithm(radius, budget, deadline)
+    )
     views = {network.ids[v]: view for v, view in result.outputs.items()}
     return views, result.trace

@@ -1,23 +1,33 @@
-"""The unified simulation engine: one round loop, pluggable policies.
+"""The simulation engine: one round loop, pluggable policies.
 
-Every round-model experiment in the repo runs on this engine.  What used
-to be two hand-wired runtimes (``SynchronousRuntime`` for LOCAL,
-``CongestRuntime`` as an enforcement subclass) is now a single
-:class:`SimulationEngine` parameterised along three axes:
+Every round-model experiment in the repo runs on
+:class:`SimulationEngine`, parameterised along four axes:
 
-* **scheduler** — the round model as an admission policy.
+* **scheduler** — the round model as a :class:`Scheduler`: an admission
+  check per message plus a per-message delivery delay.
   :class:`LocalScheduler` admits everything (unbounded messages);
   :class:`CongestScheduler` rejects any message above its
-  ``ids_per_message`` budget with :class:`MessageTooLargeError`.  New
-  models plug in by implementing the :class:`Scheduler` protocol, no
-  engine subclassing.
+  ``ids_per_message`` budget with :class:`MessageTooLargeError`.  Both
+  deliver every message in the next round (delay 0); the async and
+  adversarial schedulers of :mod:`repro.local_model.schedulers` hold
+  some messages back.  New models plug in by implementing the protocol,
+  no engine subclassing.
 * **faults** — a :class:`FaultPlan` of probabilistic message drops and
   crashed nodes, applied at delivery time from a seeded RNG so runs are
   reproducible (and identical across worker processes).
+* **churn and Byzantine plans** — topology changes between rounds and
+  misbehaving nodes (see :mod:`repro.local_model.adversary`).
 * **trace policy** — ``"full"`` keeps per-round :class:`RoundStats`,
-  ``"stats"`` keeps only aggregate totals, ``"off"`` records nothing;
-  large sweeps need not hold per-round lists (or even compute payload
-  sizes) in memory.
+  ``"stats"`` keeps aggregate totals, ``"off"`` keeps only the message
+  count; payload sizes are measured only when the trace or the
+  scheduler needs them.
+
+Every round runs the same phases: apply churn and scheduled crashes,
+stop if every honest node has halted, then one pass over the outboxes
+counts, admits, and queues each message into the bucket of the round it
+is due in; the current round's bucket is delivered; and every live node
+acts on its fresh inbox.  All admission happens before any delivery, so
+a rejected round leaves no partially-delivered state.
 
 Delivery is *immutable-by-convention*: payloads move from outbox to
 inbox **by reference**, never copied.  The contract for algorithm
@@ -29,9 +39,7 @@ dropping the defensive copies is what makes the hot path cheap (see
 
 Routing uses an adjacency-indexed buffer built once per engine:
 ``routes[v][port] == (receiver node, back port)``, so delivering a
-message is a single list index instead of the port→neighbor→back-port
-dictionary chain the old runtime walked for every message of every
-round.
+message is a single list index.
 """
 
 from __future__ import annotations
@@ -45,11 +53,7 @@ from repro.local_model.algorithm import LocalAlgorithm
 from repro.local_model.instrumentation import RoundStats, Trace, payload_size
 from repro.local_model.network import Network
 from repro.local_model.node import Node, NodeContext
-from repro.local_model.schedulers import (
-    AdversarialScheduler,
-    AsyncScheduler,
-    PendingMessage,
-)
+from repro.local_model.schedulers import AdversarialScheduler, AsyncScheduler
 
 Vertex = Hashable
 
@@ -88,26 +92,39 @@ class MessageTooLargeError(RuntimeError):
 
 @runtime_checkable
 class Scheduler(Protocol):
-    """A round model as an admission policy.
+    """A round model: message admission, delay, and delivery order.
 
-    While ``enforces`` is true the engine calls :meth:`admit` once per
-    queued message, with the full round snapshot validated *before* any
-    delivery — a rejected round leaves no partially-delivered state.
-    Set ``enforces = False`` only for pass-through policies (LOCAL)
-    that admit everything; their ``admit`` is never invoked, which
-    keeps the hot path free of per-message calls.  ``needs_units``
-    tells the engine whether to compute payload sizes even when the
-    trace policy would skip them; when neither the scheduler nor the
-    trace policy asks for sizes, ``admit`` receives ``units=0`` (a
-    count-limiting policy, for example, needs none).
+    * :meth:`admit` — while ``enforces`` is true the engine calls it once
+      per queued message, on the full round snapshot *before* any
+      delivery, so a rejected round leaves no partially-delivered state.
+      Set ``enforces = False`` only for pass-through policies that admit
+      everything; their ``admit`` is never invoked.  ``needs_units``
+      tells the engine to measure payload sizes even when the trace
+      policy would skip them; otherwise ``admit`` receives ``units=0``.
+    * :meth:`delay` — how many rounds past the next one a message is
+      held; 0 delivers it in the round after it was sent (LOCAL and
+      CONGEST always return 0).  Called once per message, in queueing
+      order (outboxes in node order, ports ascending).
+    * ``newest_first`` — the delivery order of the messages due in one
+      round: oldest first (``False``, FIFO by queueing round and order)
+      or newest first (``True``).  When two messages land on the same
+      port in the same round the one delivered last wins the slot.
+
+    A scheduler that can hold messages exposes its ``delay_bound``
+    (even when it is 0): its runs are adversarial, so a protocol that
+    raises fails its own node instead of the run.
     """
 
     model: str
     enforces: bool
     needs_units: bool
+    newest_first: bool
 
     def admit(self, round_index: int, sender: int, receiver: int, units: int) -> None:
         """Validate one queued message; raise to reject the run."""
+
+    def delay(self, round_index: int, sender_uid: int, receiver_uid: int) -> int:
+        """Extra rounds to hold one message (0 = deliver next round)."""
 
 
 class LocalScheduler:
@@ -116,9 +133,13 @@ class LocalScheduler:
     model = "local"
     enforces = False
     needs_units = False
+    newest_first = False
 
     def admit(self, round_index: int, sender: int, receiver: int, units: int) -> None:
         return None
+
+    def delay(self, round_index: int, sender_uid: int, receiver_uid: int) -> int:
+        return 0
 
 
 class CongestScheduler:
@@ -127,6 +148,7 @@ class CongestScheduler:
     model = "congest"
     enforces = True
     needs_units = True
+    newest_first = False
 
     def __init__(self, ids_per_message: int = 4):
         if ids_per_message < 1:
@@ -142,6 +164,9 @@ class CongestScheduler:
                 round_index=round_index,
                 receiver=receiver,
             )
+
+    def delay(self, round_index: int, sender_uid: int, receiver_uid: int) -> int:
+        return 0
 
 
 @dataclass(frozen=True)
@@ -200,15 +225,16 @@ class FaultPlan:
 class EngineResult:
     """Everything one engine run produced.
 
-    ``round_stats`` is ``None`` unless the trace policy was ``"full"``;
-    with policy ``"off"`` the message/payload totals are not collected
-    and stay zero.
+    ``round_stats`` is ``None`` unless the trace policy was ``"full"``.
+    ``total_messages`` is always counted; ``total_payload`` is ``None``
+    when payload sizes were not measured (trace policy ``"off"`` under a
+    scheduler that does not need them).
     """
 
     outputs: dict[Vertex, object]
     rounds: int
     total_messages: int
-    total_payload: int
+    total_payload: int | None
     round_stats: list[RoundStats] | None
     dropped_messages: int = 0
     """Messages lost to the fault plan's ``drop_probability`` RNG."""
@@ -232,7 +258,7 @@ class EngineResult:
     actually received."""
     failed: tuple = ()
     """Vertices whose protocol raised while the run was adversarial
-    (churn, Byzantine peers, or a delivery-planning scheduler active):
+    (churn, Byzantine peers, or a delaying scheduler active):
     stale or forged inputs paper protocols never planned for.  A failed
     node stops participating — it is the protocol breaking under
     attack, recorded instead of raised.  On benign runs exceptions
@@ -245,19 +271,83 @@ class EngineResult:
 
     @property
     def trace(self) -> Trace:
-        """Compatibility view for consumers of the old ``Trace`` shape."""
+        """The per-round stats as a :class:`Trace` (empty unless the
+        trace policy was ``"full"``)."""
         return Trace(rounds=list(self.round_stats or []))
+
+
+class _Run:
+    """The mutable state of one :meth:`SimulationEngine.run`."""
+
+    def __init__(self, live: dict, algorithms: dict, crashed: set, shims: dict, shielded: bool):
+        self.live = live
+        self.algorithms = algorithms
+        self.crashed = crashed
+        self.shims = shims
+        self.shielded = shielded
+        self.failed: list[Vertex] = []
+        self.outboxes: dict[Vertex, dict[int, object]] = {}
+        self.taint: dict[Vertex, frozenset] = {}
+        # Held messages by due round, each bucket in queueing order:
+        # (sender, port, payload, tainted by a Byzantine shim).
+        self.held: dict[int, list[tuple]] = {}
+
+    def remove(self, v: Vertex) -> None:
+        """Take ``v`` out of the run for good (crashed or failed)."""
+        self.crashed.add(v)
+        del self.live[v]
+        self.algorithms.pop(v, None)
+
+    def act(self, v: Vertex, node: Node, hook: Callable, *, init: bool = False) -> None:
+        """Run one protocol hook of live node ``v``; collect its outbox.
+
+        This is the one place protocol exceptions are handled: on a
+        shielded run the node fails and stops participating, otherwise
+        the exception propagates.  Messages queued in the round a node
+        halts are discarded, except those it sends from ``on_init``.
+        """
+        ctx = NodeContext(node)
+        try:
+            hook(ctx)
+        except Exception:
+            if not self.shielded:
+                raise
+            self.failed.append(v)
+            self.remove(v)
+            return
+        if ctx.outbox and (init or not node.halted):
+            self.outboxes[v] = ctx.outbox
+        shim = self.shims.get(v)
+        if shim is not None:
+            self.taint[v] = shim.last_changed
+
+    def retire(self, lost: Callable[[Vertex, int], bool]) -> int:
+        """Drop held messages whose ``(sender, port)`` is ``lost``;
+        returns how many were dropped."""
+        count = 0
+        for bucket in self.held.values():
+            kept = [m for m in bucket if not lost(m[0], m[1])]
+            count += len(bucket) - len(kept)
+            bucket[:] = kept
+        return count
+
+    def crash(self, v: Vertex) -> int:
+        """A scheduled mid-run crash of live node ``v``; returns how many
+        of its queued outbound messages it swallows."""
+        self.remove(v)
+        return len(self.outboxes.pop(v, ())) + self.retire(
+            lambda sender, port: sender == v
+        )
 
 
 class SimulationEngine:
     """Synchronous round loop over a :class:`Network`, policy-driven.
 
-    Semantics (identical to the historical runtime for fault-free LOCAL
-    runs): every round, all non-halted nodes act on the previous round's
-    inbox, then all queued messages are delivered simultaneously; the
-    run ends when every live node has halted.  Exceeding ``max_rounds``
-    raises — an algorithm that cannot bound its rounds is not a LOCAL
-    algorithm.
+    Every round, all messages due are delivered simultaneously, then all
+    non-halted nodes act on their inbox; the run ends when every live
+    honest node has halted.  Exceeding ``max_rounds`` raises — an
+    algorithm that cannot bound its rounds is not a LOCAL algorithm —
+    unless the run is adversarial, where it is recorded as ``timed_out``.
     """
 
     def __init__(
@@ -351,119 +441,87 @@ class SimulationEngine:
         return shim
 
     def _churn_step(
-        self,
-        events: tuple,
-        live: dict,
-        algorithms: dict,
-        outboxes: dict,
-        pending: list,
-        taint: dict,
-        crashed: set,
-        failed: list,
-        factory: Callable[[], LocalAlgorithm],
+        self, run: _Run, events: tuple, factory: Callable[[], LocalAlgorithm]
     ) -> int:
         """Apply one round's churn events; returns messages lost to it.
 
         Beyond the network's own port re-derivation, the engine must (a)
         rebuild delivery routes for every vertex whose CSR row changed
         *and their neighbors* (a changed row moves the back ports of
-        every edge into it), (b) retire in-flight messages whose sender
-        left or whose queued port fell off a shrunken adjacency
+        every edge into it), (b) retire queued and held messages whose
+        sender left or whose port fell off a shrunken adjacency
         (surviving ports are re-routed by number — the link is whatever
         that port points at now), and (c) boot joined vertices through
         ``on_init`` so they participate from this round on.
         """
         network = self.network
+        nodes = network.nodes
         changed, joined, left = network.apply_churn(events)
         lost = 0
         for v in left:
-            live.pop(v, None)
-            algorithms.pop(v, None)
+            run.live.pop(v, None)
+            run.algorithms.pop(v, None)
             self._routes.pop(v, None)
-            stale = outboxes.pop(v, None)
-            if stale:
-                lost += len(stale)
+            lost += len(run.outboxes.pop(v, ()))
         rebuild = set(changed)
         for v in changed:
             rebuild.update(network.graph.neighbors(v))
-        rebuild &= set(network.nodes)
+        rebuild &= set(nodes)
         self._route_rows(sorted(rebuild, key=repr))
         for v in sorted(changed, key=repr):
-            outbox = outboxes.get(v)
+            outbox = run.outboxes.get(v)
             if not outbox:
                 continue
-            degree = network.nodes[v].degree
-            stale_ports = [p for p in outbox if p >= degree]
+            stale_ports = [p for p in outbox if p >= nodes[v].degree]
             for p in stale_ports:
                 del outbox[p]
             lost += len(stale_ports)
             if not outbox:
-                del outboxes[v]
-        if pending:
-            kept = []
-            for message in pending:
-                node = network.nodes.get(message.sender)
-                if node is None or message.port >= node.degree:
-                    lost += 1
-                else:
-                    kept.append(message)
-            pending[:] = kept
+                del run.outboxes[v]
+        lost += run.retire(
+            lambda sender, port: sender not in nodes or port >= nodes[sender].degree
+        )
         for v in joined:
-            node = network.nodes[v]
-            live[v] = node
-            algorithms[v] = self._make_algorithm(factory, v, node.uid)
-            ctx = NodeContext(node)
-            try:
-                algorithms[v].on_init(ctx)
-            except Exception:
-                failed.append(v)
-                crashed.add(v)
-                live.pop(v)
-                algorithms.pop(v, None)
-                continue
-            if ctx.outbox:
-                outboxes[v] = ctx.outbox
-            if v in self.byzantine:
-                taint[v] = self._shims[v].last_changed
+            node = nodes[v]
+            run.live[v] = node
+            run.algorithms[v] = self._make_algorithm(factory, v, node.uid)
+            run.act(v, node, run.algorithms[v].on_init, init=True)
         return lost
 
     def run(self, algorithm_factory: Callable[[], LocalAlgorithm]) -> EngineResult:
         """Run to completion; returns outputs plus the configured trace."""
         self._shims.clear()
+        scheduler = self.scheduler
         crashed = set(self.faults.crashed)
         live = {
             v: node for v, node in self.network.nodes.items() if v not in crashed
         }
         ids = self.network.ids
         byz = self.byzantine
+        churn = self.churn
         algorithms = {
             v: self._make_algorithm(algorithm_factory, v, ids[v]) for v in live
         }
+        # Under adversarial conditions (a delaying scheduler, Byzantine
+        # peers, churn) a protocol may legitimately blow up on inputs it
+        # never planned for (stale phases, forged payloads); the run
+        # records the node as failed instead of aborting.  Benign runs
+        # keep raise-through semantics.
+        run = _Run(
+            live,
+            algorithms,
+            crashed,
+            self._shims,
+            shielded=hasattr(scheduler, "delay_bound") or bool(byz) or bool(churn),
+        )
+        outboxes, taint, held = run.outboxes, run.taint, run.held
         routes = self._routes
-        enforce = (
-            self.scheduler.admit
-            if getattr(self.scheduler, "enforces", True)
-            else None
-        )
-        # A delivery-planning scheduler (async/adversarial) moves the
-        # engine onto the pending-queue path; LOCAL/CONGEST keep the
-        # direct outbox-to-inbox hot path, bit-for-bit as before.
-        planner = (
-            self.scheduler
-            if getattr(self.scheduler, "plans_delivery", False)
-            else None
-        )
-        churn = self.churn
-        # Under adversarial conditions a protocol may legitimately blow
-        # up on inputs it never planned for (stale phases, forged
-        # payloads); the engine records the node as failed instead of
-        # aborting the run.  Benign runs keep raise-through semantics.
-        shielded = planner is not None or bool(byz) or bool(churn)
+        enforce = scheduler.admit if getattr(scheduler, "enforces", True) else None
+        delay = scheduler.delay
         crash_rounds: dict[int, list[Vertex]] = {}
         for v, when in self.faults.crash_schedule:
             crash_rounds.setdefault(when, []).append(v)
-        record = self.trace_policy != "off"
-        need_units = record or self.scheduler.needs_units
+        measure = self.trace_policy != "off" or scheduler.needs_units
         round_stats: list[RoundStats] | None = (
             [] if self.trace_policy == "full" else None
         )
@@ -479,205 +537,98 @@ class SimulationEngine:
         churn_events = 0
         churn_lost = 0
         crash_fired: list[Vertex] = []
-        failed: list[Vertex] = []
         timed_out = False
         detections: dict[Vertex, int] = {v: 0 for v in byz}
-        taint: dict[Vertex, frozenset] = {}
-        pending: list[PendingMessage] = []
-        seq = 0
         received: list[Node] = []
 
-        outboxes: dict[Vertex, dict[int, object]] = {}
-        for v, node in list(live.items()) if shielded else live.items():
-            ctx = NodeContext(node)
-            if shielded:
-                try:
-                    algorithms[v].on_init(ctx)
-                except Exception:
-                    failed.append(v)
-                    crashed.add(v)
-                    live.pop(v)
-                    algorithms.pop(v, None)
-                    continue
-            else:
-                algorithms[v].on_init(ctx)
-            if ctx.outbox:
-                outboxes[v] = ctx.outbox
-            if v in byz:
-                taint[v] = self._shims[v].last_changed
+        for v, node in list(live.items()):
+            run.act(v, node, algorithms[v].on_init, init=True)
 
         for round_index in range(1, self.max_rounds + 1):
-            if churn:
-                events = churn.get(round_index)
-                if events:
-                    churn_events += len(events)
-                    churn_lost += self._churn_step(
-                        events,
-                        live,
-                        algorithms,
-                        outboxes,
-                        pending,
-                        taint,
-                        crashed,
-                        failed,
-                        algorithm_factory,
-                    )
-            if crash_rounds:
-                for v in crash_rounds.get(round_index, ()):
-                    if v not in live:
-                        continue
-                    crashed.add(v)
+            events = churn.get(round_index)
+            if events:
+                churn_events += len(events)
+                churn_lost += self._churn_step(run, events, algorithm_factory)
+            for v in crash_rounds.get(round_index, ()):
+                if v in live:
                     crash_fired.append(v)
-                    live.pop(v)
-                    algorithms.pop(v, None)
-                    stale = outboxes.pop(v, None)
-                    if stale:
-                        # A mid-run crash swallows the node's queued
-                        # outbound messages in the same round.
-                        swallowed += len(stale)
-                    if pending:
-                        kept = [m for m in pending if m.sender != v]
-                        swallowed += len(pending) - len(kept)
-                        pending[:] = kept
+                    swallowed += run.crash(v)
 
             # Byzantine nodes never count toward termination: a babbler
             # keeps acting forever, so the run ends when every *honest*
             # live node has halted.
-            if byz:
-                if all(node.halted for v, node in live.items() if v not in byz):
-                    break
-            elif all(node.halted for node in live.values()):
+            if all(node.halted for v, node in live.items() if v not in byz):
                 break
 
-            # Accounting + admission on the full round snapshot, before
-            # any delivery — a rejected round leaves no partial state.
+            # One pass over the outboxes: accounting, admission, and
+            # queueing into the bucket of the round each message is due.
+            due = held.pop(round_index, [])
             messages = 0
             units_this_round = 0
             for v, outbox in outboxes.items():
                 messages += len(outbox)
-                if need_units or enforce is not None:
-                    sender_routes = routes[v]
-                    sender_uid = ids[v]
-                    for port, payload in outbox.items():
-                        units = payload_size(payload) if need_units else 0
-                        units_this_round += units
-                        if enforce is not None:
-                            enforce(
-                                round_index,
-                                sender_uid,
-                                sender_routes[port][0].uid,
-                                units,
-                            )
+                sender_routes = routes[v]
+                sender_uid = ids[v]
+                changed_ports = taint.get(v)
+                for port, payload in outbox.items():
+                    receiver_uid = sender_routes[port][0].uid
+                    units = payload_size(payload) if measure else 0
+                    units_this_round += units
+                    if enforce is not None:
+                        enforce(round_index, sender_uid, receiver_uid, units)
+                    message = (
+                        v,
+                        port,
+                        payload,
+                        changed_ports is not None and port in changed_ports,
+                    )
+                    wait = delay(round_index, sender_uid, receiver_uid)
+                    if wait:
+                        delayed += 1
+                        held.setdefault(round_index + wait, []).append(message)
+                    else:
+                        due.append(message)
 
             # Delivery: rebind fresh inboxes for last round's receivers,
             # then move payloads by reference through the route index.
             for node in received:
                 node.inbox = {}
             received = []
-            if planner is None:
-                for v, outbox in outboxes.items():
-                    sender_routes = routes[v]
-                    changed_ports = taint.get(v)
-                    for port, payload in outbox.items():
-                        if rng is not None and rng.random() < drop_p:
-                            dropped += 1
-                            continue
-                        receiver, back_port = sender_routes[port]
-                        if receiver.vertex in crashed:
-                            swallowed += 1
-                            continue
-                        if (
-                            changed_ports is not None
-                            and port in changed_ports
-                            and receiver.vertex not in byz
-                        ):
-                            detections[v] += 1
-                        if not receiver.inbox:
-                            received.append(receiver)
-                        receiver.inbox[back_port] = payload
-            else:
-                # Planned delivery: queue this round's sends with their
-                # scheduler-chosen delays, then hand over everything due
-                # in the scheduler's chosen order.
-                for v, outbox in outboxes.items():
-                    sender_routes = routes[v]
-                    sender_uid = ids[v]
-                    changed_ports = taint.get(v)
-                    for port, payload in outbox.items():
-                        wait = planner.delay(
-                            round_index, seq, sender_uid, sender_routes[port][0].uid
-                        )
-                        if wait > 0:
-                            delayed += 1
-                        pending.append(
-                            PendingMessage(
-                                queued_round=round_index,
-                                seq=seq,
-                                sender=v,
-                                port=port,
-                                payload=payload,
-                                due_round=round_index + wait,
-                                tainted=bool(
-                                    changed_ports is not None
-                                    and port in changed_ports
-                                ),
-                            )
-                        )
-                        seq += 1
-                due = [m for m in pending if m.due_round <= round_index]
-                if due:
-                    pending[:] = [m for m in pending if m.due_round > round_index]
-                for message in planner.order(due):
-                    if rng is not None and rng.random() < drop_p:
-                        dropped += 1
-                        continue
-                    receiver, back_port = routes[message.sender][message.port]
-                    if receiver.vertex in crashed:
-                        swallowed += 1
-                        continue
-                    if message.tainted and receiver.vertex not in byz:
-                        detections[message.sender] += 1
-                    if not receiver.inbox:
-                        received.append(receiver)
-                    receiver.inbox[back_port] = message.payload
+            if scheduler.newest_first:
+                due.reverse()
+            for v, port, payload, tainted in due:
+                if rng is not None and rng.random() < drop_p:
+                    dropped += 1
+                    continue
+                receiver, back_port = routes[v][port]
+                if receiver.vertex in crashed:
+                    swallowed += 1
+                    continue
+                if tainted and receiver.vertex not in byz:
+                    detections[v] += 1
+                if not receiver.inbox:
+                    received.append(receiver)
+                receiver.inbox[back_port] = payload
 
             rounds = round_index
-            if record:
-                total_messages += messages
-                total_payload += units_this_round
-                if round_stats is not None:
-                    round_stats.append(
-                        RoundStats(
-                            round_index=round_index,
-                            messages=messages,
-                            payload_units=units_this_round,
-                        )
+            total_messages += messages
+            total_payload += units_this_round
+            if round_stats is not None:
+                round_stats.append(
+                    RoundStats(
+                        round_index=round_index,
+                        messages=messages,
+                        payload_units=units_this_round,
                     )
+                )
 
-            outboxes = {}
-            if byz:
-                taint = {}
-            for v, node in list(live.items()) if shielded else live.items():
-                if node.halted:
-                    continue
-                ctx = NodeContext(node)
-                if shielded:
-                    try:
-                        algorithms[v].on_round(ctx)
-                    except Exception:
-                        failed.append(v)
-                        crashed.add(v)
-                        live.pop(v)
-                        algorithms.pop(v, None)
-                        continue
-                else:
-                    algorithms[v].on_round(ctx)
-                if ctx.outbox and not node.halted:
-                    outboxes[v] = ctx.outbox
-                if v in byz:
-                    taint[v] = self._shims[v].last_changed
+            outboxes.clear()
+            taint.clear()
+            for v, node in list(live.items()):
+                if not node.halted:
+                    run.act(v, node, algorithms[v].on_round)
         else:
-            if not shielded:
+            if not run.shielded:
                 raise RuntimeError(
                     f"algorithm did not halt within {self.max_rounds} rounds"
                 )
@@ -695,7 +646,7 @@ class SimulationEngine:
             outputs=self.network.outputs(),
             rounds=rounds,
             total_messages=total_messages,
-            total_payload=total_payload,
+            total_payload=total_payload if measure else None,
             round_stats=round_stats,
             dropped_messages=dropped,
             swallowed_messages=swallowed,
@@ -704,7 +655,7 @@ class SimulationEngine:
             churn_events=churn_events,
             churn_lost_messages=churn_lost,
             suspicion=suspicion,
-            failed=tuple(failed),
+            failed=tuple(run.failed),
             timed_out=timed_out,
         )
 

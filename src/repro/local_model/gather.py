@@ -20,10 +20,10 @@ from typing import Hashable
 import networkx as nx
 
 from repro.local_model.algorithm import LocalAlgorithm
+from repro.local_model.engine import SimulationEngine
 from repro.local_model.instrumentation import Trace
 from repro.local_model.network import Network
 from repro.local_model.node import NodeContext
-from repro.local_model.runtime import SynchronousRuntime
 from repro.local_model.views import View
 from repro.graphs.util import distances_from
 
@@ -94,7 +94,8 @@ def gather_views(
     """Simulate gathering on ``graph``; returns uid-keyed views and the trace."""
     network = Network(graph, ids)
     limit = max_rounds if max_rounds is not None else rounds_for_radius(radius) + 1
-    runtime = SynchronousRuntime(network, max_rounds=limit)
-    result = runtime.run(lambda: GatherAlgorithm(radius))
+    result = SimulationEngine(network, max_rounds=limit).run(
+        lambda: GatherAlgorithm(radius)
+    )
     views = {network.ids[v]: view for v, view in result.outputs.items()}
     return views, result.trace

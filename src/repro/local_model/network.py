@@ -38,47 +38,16 @@ class Network:
         labels = self.kernel.labels
         index_of = self.kernel.index_of
         self.nodes: dict[Vertex, Node] = {}
-        # graph.nodes order (not kernel order) keeps the node-dict
-        # iteration order — and with it the fault-plan RNG pairing —
-        # identical to the historical runtime.
+        # Node-dict order is graph.nodes order (not kernel order): the
+        # engine walks nodes in this order, so it fixes the pairing of
+        # messages with the fault-plan and delay RNG draws.
         for v in graph.nodes:
             ports = [labels[j] for j in self.kernel.neighbor_row(index_of[v])]
             self.nodes[v] = Node(vertex=v, uid=self.ids[v], ports=ports)
-        # port_back[v][u] = the port of u that leads back to v; built
-        # lazily — the engine routes through the kernel's CSR reverse
-        # slots and never touches these dictionaries.
-        self._port_of: dict[Vertex, dict[Vertex, int]] | None = None
 
     @property
     def size(self) -> int:
         return len(self.nodes)
-
-    def port_toward(self, node: Vertex, neighbor: Vertex) -> int:
-        """The port of ``node`` whose link leads to ``neighbor``."""
-        if self._port_of is None:
-            self._port_of = {
-                v: {u: p for p, u in enumerate(n.ports)}
-                for v, n in self.nodes.items()
-            }
-        return self._port_of[node][neighbor]
-
-    def deliver(self, outboxes: dict[Vertex, dict[int, object]]) -> int:
-        """Move queued messages into destination inboxes; returns count.
-
-        All deliveries are simultaneous (synchronous rounds): inboxes are
-        cleared first, then filled from the snapshot of outboxes.
-        """
-        for node in self.nodes.values():
-            node.inbox = {}
-        delivered = 0
-        for vertex, outbox in outboxes.items():
-            sender = self.nodes[vertex]
-            for port, payload in outbox.items():
-                neighbor = sender.ports[port]
-                back_port = self.port_toward(neighbor, vertex)
-                self.nodes[neighbor].inbox[back_port] = payload
-                delivered += 1
-        return delivered
 
     def apply_churn(self, events) -> tuple[set, list, list]:
         """Apply one round's churn events; returns (changed, joined, left).
@@ -143,7 +112,6 @@ class Network:
                 self.nodes[v].ports = [
                     labels[j] for j in self.kernel.neighbor_row(index_of[v])
                 ]
-        self._port_of = None
         return changed, joined, left
 
     def outputs(self) -> dict[Vertex, object]:

@@ -175,10 +175,9 @@ class D2Protocol(LocalAlgorithm):
 
 def run_protocol_dominating_set(graph, protocol_factory, ids=None):
     """Run a membership protocol; return (chosen vertices, rounds)."""
+    from repro.local_model.engine import SimulationEngine
     from repro.local_model.network import Network
-    from repro.local_model.runtime import SynchronousRuntime
 
-    network = Network(graph, ids)
-    result = SynchronousRuntime(network, max_rounds=20).run(protocol_factory)
+    result = SimulationEngine(Network(graph, ids), max_rounds=20).run(protocol_factory)
     chosen = {v for v, output in result.outputs.items() if output is True}
     return chosen, result.rounds

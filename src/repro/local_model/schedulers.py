@@ -1,10 +1,12 @@
 """Adversarial round models: asynchronous and worst-case delivery.
 
-LOCAL and CONGEST (in :mod:`repro.local_model.engine`) are *admission*
-policies: every queued message is delivered in the very next round, the
-only question being whether it fits the bandwidth budget.  The two
-schedulers here relax the other half of the synchronous contract —
-*when* and *in what order* messages arrive:
+A :class:`~repro.local_model.engine.Scheduler` decides, per message,
+whether it is admitted, how many extra rounds it is held, and in which
+order the messages due in one round are delivered.  LOCAL and CONGEST
+(in :mod:`repro.local_model.engine`) hold nothing: every message arrives
+in the next round.  The two schedulers here admit everything
+(bandwidth is LOCAL-like) but relax the other half of the synchronous
+contract — *when* and *in what order* messages arrive:
 
 * :class:`AsyncScheduler` — each message is independently delayed by a
   seeded number of rounds in ``[0, delay_bound]``; due messages arrive
@@ -19,42 +21,21 @@ schedulers here relax the other half of the synchronous contract —
   same port in the same round, the *stalest* payload wins the slot —
   the adversary always shows a node the oldest view it is allowed to.
 
-Both implement the engine's :class:`~repro.local_model.engine.Scheduler`
-admission protocol (they admit everything — bandwidth is LOCAL-like)
-and additionally set ``plans_delivery = True``, which moves the engine
-onto its pending-queue delivery path.  Determinism contract: the async
-delay stream is ``random.Random`` seeded from the run seed by pure
-integer arithmetic (no hashing of strings or tuples — those are salted
-per process and would break ``workers=4`` byte-identity), and the
-adversarial policy uses no randomness at all.
+Both expose ``delay_bound``, which marks their runs as adversarial (a
+protocol that raises fails its node, not the run).  Determinism
+contract: the async delay stream is ``random.Random`` seeded from the
+run seed by pure integer arithmetic (no hashing of strings or tuples —
+those are salted per process and would break ``workers=4``
+byte-identity), and the adversarial policy uses no randomness at all.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Hashable, NamedTuple
-
-Vertex = Hashable
 
 #: Mixed into the run seed to decouple the scheduler's delay stream from
 #: the fault plan's drop stream (both are Random(seed)-style consumers).
 _DELAY_STREAM_SALT = 0x9E3779B9
-
-
-class PendingMessage(NamedTuple):
-    """One in-flight message on the engine's delayed-delivery queue."""
-
-    queued_round: int
-    """Round whose act phase produced the message (0 = on_init)."""
-    seq: int
-    """Queueing order within the round (deterministic outbox walk)."""
-    sender: Vertex
-    port: int
-    payload: Any
-    due_round: int
-    """First round whose delivery phase may hand the message over."""
-    tainted: bool = False
-    """Whether a Byzantine shim corrupted this payload (detection tally)."""
 
 
 class AsyncScheduler:
@@ -63,7 +44,7 @@ class AsyncScheduler:
     model = "async"
     enforces = False
     needs_units = False
-    plans_delivery = True
+    newest_first = False
 
     def __init__(self, delay_bound: int = 2, seed: int = 0):
         if delay_bound < 0:
@@ -75,7 +56,7 @@ class AsyncScheduler:
     def admit(self, round_index: int, sender: int, receiver: int, units: int) -> None:
         return None
 
-    def delay(self, round_index: int, seq: int, sender_uid: int, receiver_uid: int) -> int:
+    def delay(self, round_index: int, sender_uid: int, receiver_uid: int) -> int:
         """Rounds to hold this message; one seeded draw per message.
 
         Draws are consumed in queueing order (the engine walks outboxes
@@ -86,11 +67,6 @@ class AsyncScheduler:
             return 0
         return self._rng.randrange(self.delay_bound + 1)
 
-    @staticmethod
-    def order(due: list[PendingMessage]) -> list[PendingMessage]:
-        """FIFO: older messages first, queueing order within a round."""
-        return sorted(due, key=lambda m: (m.queued_round, m.seq))
-
 
 class AdversarialScheduler:
     """Deterministic worst-case delivery: maximal delay and stale-wins.
@@ -98,13 +74,15 @@ class AdversarialScheduler:
     No randomness: the adversary's choices are a pure function of the
     topology and identifiers, so a run reproduces bit-for-bit with no
     seed bookkeeping, and tightening ``delay_bound`` to 0 recovers
-    synchronous LOCAL delivery exactly.
+    synchronous LOCAL delivery exactly.  Due messages are delivered
+    newest first, so on a port collision the *stalest* payload is
+    written last and wins the inbox slot.
     """
 
     model = "adversarial"
     enforces = False
     needs_units = False
-    plans_delivery = True
+    newest_first = True
 
     def __init__(self, delay_bound: int = 2):
         if delay_bound < 0:
@@ -114,14 +92,8 @@ class AdversarialScheduler:
     def admit(self, round_index: int, sender: int, receiver: int, units: int) -> None:
         return None
 
-    def delay(self, round_index: int, seq: int, sender_uid: int, receiver_uid: int) -> int:
+    def delay(self, round_index: int, sender_uid: int, receiver_uid: int) -> int:
         """Hold messages flowing up the identifier order for the full
         bound — the symmetry-breaking direction most paper protocols
         lean on — and deliver the rest immediately."""
         return self.delay_bound if sender_uid < receiver_uid else 0
-
-    @staticmethod
-    def order(due: list[PendingMessage]) -> list[PendingMessage]:
-        """Newest first — so on a port collision the *stalest* payload
-        is written last and wins the inbox slot."""
-        return sorted(due, key=lambda m: (m.queued_round, m.seq), reverse=True)

@@ -51,6 +51,10 @@ class ReproHTTPServer(ThreadingHTTPServer):
 class ReproRequestHandler(BaseHTTPRequestHandler):
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in two writes; with Nagle's algorithm the
+    # body waits for the client's delayed ACK (~40 ms per kept-alive
+    # response).  TCP_NODELAY sends it at once.
+    disable_nagle_algorithm = True
 
     # -- plumbing -----------------------------------------------------------
 

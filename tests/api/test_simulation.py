@@ -145,6 +145,18 @@ class TestFaultRuns:
         rerun = simulate(graph, back.spec)
         assert rerun.outputs == report.outputs
 
+    def test_trace_off_payload_roundtrips_as_null(self, fan5):
+        report = simulate(fan5, SimulationSpec(algorithm="d2", trace="off"))
+        # messages are always counted; unmeasured payload is None, not 0
+        assert report.total_messages == simulate(fan5, "d2").total_messages > 0
+        assert report.total_payload is None
+        payload = sim_report_to_dict(report)
+        text = json.dumps(payload)
+        assert '"total_payload": null' in text
+        back = sim_report_from_dict(json.loads(text))
+        assert back.total_payload is None
+        assert sim_report_to_dict(back) == payload
+
     def test_spec_roundtrip(self):
         spec = SimulationSpec(
             algorithm="degree_two",

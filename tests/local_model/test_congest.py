@@ -6,10 +6,10 @@ from repro.local_model.congest import (
     gather_volume_model,
     trace_congest_report,
 )
+from repro.local_model.engine import SimulationEngine
 from repro.local_model.gather import gather_views
 from repro.local_model.network import Network
 from repro.local_model.protocols import DegreeTwoProtocol
-from repro.local_model.runtime import SynchronousRuntime
 
 
 class TestReports:
@@ -23,7 +23,7 @@ class TestReports:
     def test_degree_rule_fits_congest(self):
         g = gen.cycle(20)
         network = Network(g)
-        result = SynchronousRuntime(network, max_rounds=5).run(DegreeTwoProtocol)
+        result = SimulationEngine(network, max_rounds=5).run(DegreeTwoProtocol)
         report = trace_congest_report(g, result.trace, ids_per_message=3)
         assert report.congest_feasible
 

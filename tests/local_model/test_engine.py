@@ -16,7 +16,6 @@ from repro.local_model.gather import GatherAlgorithm
 from repro.local_model.network import Network
 from repro.local_model.node import NodeContext
 from repro.local_model.protocols import D2Protocol
-from repro.local_model.runtime import SynchronousRuntime
 
 
 class EchoOnce(LocalAlgorithm):
@@ -49,13 +48,6 @@ class Never(LocalAlgorithm):
 
 
 class TestSchedulers:
-    def test_engine_matches_legacy_runtime(self, cycle6):
-        engine = SimulationEngine(Network(cycle6)).run(EchoOnce)
-        legacy = SynchronousRuntime(Network(cycle6)).run(EchoOnce)
-        assert engine.outputs == legacy.outputs
-        assert engine.rounds == legacy.rounds
-        assert engine.round_stats == legacy.trace.rounds
-
     def test_congest_boundary_exact_budget_passes(self, cycle6):
         budget = 5
         engine = SimulationEngine(Network(cycle6), CongestScheduler(budget))
@@ -103,9 +95,13 @@ class TestSchedulers:
             model = "local"
             enforces = True
             needs_units = False
+            newest_first = False
 
             def admit(self, round_index, sender, receiver, units):
                 calls.append((round_index, sender, receiver, units))
+
+            def delay(self, round_index, sender_uid, receiver_uid):
+                return 0
 
         engine = SimulationEngine(Network(cycle6), CountingScheduler(), trace="off")
         engine.run(EchoOnce)
@@ -129,11 +125,20 @@ class TestTracePolicies:
     def test_off_records_nothing(self, cycle6):
         result = SimulationEngine(Network(cycle6), trace="off").run(EchoOnce)
         assert result.round_stats is None
-        assert result.total_messages == 0
-        assert result.total_payload == 0
+        # messages are always counted; payload sizes were never measured
+        assert result.total_messages == 12
+        assert result.total_payload is None
         # outputs and round counting still work
         assert set(result.outputs) == set(range(6))
         assert result.rounds == 1
+
+    def test_off_keeps_payload_a_scheduler_measured(self, cycle6):
+        # CONGEST measures every payload for admission, so the total is known
+        result = SimulationEngine(
+            Network(cycle6), CongestScheduler(4), trace="off"
+        ).run(EchoOnce)
+        assert result.total_messages == 12
+        assert result.total_payload == 12
 
     def test_unknown_policy_rejected(self, cycle6):
         with pytest.raises(ValueError, match="trace policy"):

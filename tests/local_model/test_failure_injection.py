@@ -1,13 +1,13 @@
-"""Failure injection: the runtime must fail loudly, not corrupt state."""
+"""Failure injection: the engine must fail loudly, not corrupt state."""
 
 import networkx as nx
 import pytest
 
 from repro.graphs import generators as gen
 from repro.local_model.algorithm import LocalAlgorithm
+from repro.local_model.engine import SimulationEngine
 from repro.local_model.network import Network
 from repro.local_model.node import NodeContext
-from repro.local_model.runtime import SynchronousRuntime
 
 
 class BadPortSender(LocalAlgorithm):
@@ -47,19 +47,19 @@ class SendsAfterHalt(LocalAlgorithm):
 class TestFailures:
     def test_bad_port_raises(self, cycle6):
         with pytest.raises(ValueError, match="has no port"):
-            SynchronousRuntime(Network(cycle6)).run(BadPortSender)
+            SimulationEngine(Network(cycle6)).run(BadPortSender)
 
     def test_node_exception_propagates(self, path5):
         with pytest.raises(RuntimeError, match="node crashed"):
-            SynchronousRuntime(Network(path5)).run(CrashesInRound)
+            SimulationEngine(Network(path5)).run(CrashesInRound)
 
     def test_double_halt_keeps_last_output(self, path5):
-        result = SynchronousRuntime(Network(path5)).run(HaltsTwice)
+        result = SimulationEngine(Network(path5)).run(HaltsTwice)
         assert all(v == 2 for v in result.outputs.values())
 
     def test_messages_after_halt_are_dropped(self, path5):
-        # the runtime skips outboxes of halted nodes: no zombie traffic.
-        result = SynchronousRuntime(Network(path5)).run(SendsAfterHalt)
+        # the engine skips outboxes of halted nodes: no zombie traffic.
+        result = SimulationEngine(Network(path5)).run(SendsAfterHalt)
         assert result.rounds == 1
         assert all(v == "done" for v in result.outputs.values())
 
@@ -75,7 +75,7 @@ class TestFailures:
                 pass
 
         with pytest.raises(RuntimeError, match="did not halt"):
-            SynchronousRuntime(Network(g), max_rounds=3).run(Never)
+            SimulationEngine(Network(g), max_rounds=3).run(Never)
 
 
 class TestSolverFailureModes:

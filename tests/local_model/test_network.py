@@ -3,9 +3,28 @@
 import networkx as nx
 import pytest
 
-from repro.graphs import generators as gen
+from repro.local_model.algorithm import LocalAlgorithm
+from repro.local_model.engine import SimulationEngine
 from repro.local_model.identifiers import shuffled_ids
 from repro.local_model.network import Network
+
+
+def _deliver(graph, script, rounds=1):
+    """Send ``script[uid] = {port: payload}`` from ``on_init``; return
+    every vertex's inbox in each of the next ``rounds`` rounds."""
+
+    class Scripted(LocalAlgorithm):
+        def on_init(self, ctx):
+            for port, payload in script.get(ctx.uid, {}).items():
+                ctx.send(port, payload)
+
+        def on_round(self, ctx):
+            seen = ctx.state.setdefault("seen", [])
+            seen.append(dict(ctx.inbox))
+            if len(seen) == rounds:
+                ctx.halt(seen)
+
+    return SimulationEngine(Network(graph)).run(Scripted).outputs
 
 
 class TestConstruction:
@@ -46,31 +65,23 @@ class TestConstruction:
 
 
 class TestDelivery:
-    def test_port_toward_inverse(self, cycle6):
-        net = Network(cycle6)
-        for v in cycle6.nodes:
-            for u in net.nodes[v].ports:
-                assert net.nodes[u].ports[net.port_toward(u, v)] == v
+    """Messages cross links port to port: what a sender queues on port p
+    lands in the receiver's inbox under the port leading back to it."""
 
     def test_message_arrives_at_back_port(self, path5):
-        net = Network(path5)
         # vertex 0 sends on its only port (to 1)
-        delivered = net.deliver({0: {0: "hello"}})
-        assert delivered == 1
+        inboxes = _deliver(path5, {0: {0: "hello"}})
         # vertex 1's ports are [0, 2]; port 0 leads back to vertex 0
-        assert net.nodes[1].inbox == {0: "hello"}
+        assert inboxes[1] == [{0: "hello"}]
 
     def test_inboxes_cleared_each_round(self, path5):
-        net = Network(path5)
-        net.deliver({0: {0: "x"}})
-        net.deliver({})
-        assert net.nodes[1].inbox == {}
+        inboxes = _deliver(path5, {0: {0: "x"}}, rounds=2)
+        assert inboxes[1] == [{0: "x"}, {}]
 
     def test_simultaneous_exchange(self, path5):
-        net = Network(path5)
-        net.deliver({0: {0: "from0"}, 1: {0: "from1"}})
-        assert net.nodes[1].inbox[0] == "from0"
-        assert net.nodes[0].inbox[0] == "from1"
+        inboxes = _deliver(path5, {0: {0: "from0"}, 1: {0: "from1"}})
+        assert inboxes[1] == [{0: "from0"}]
+        assert inboxes[0] == [{0: "from1"}]
 
     def test_uid_to_vertex_roundtrip(self, path5):
         ids = shuffled_ids(path5, seed=2)

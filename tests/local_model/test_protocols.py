@@ -9,6 +9,7 @@ from repro.core.d2 import d2_dominating_set
 from repro.graphs import generators as gen
 from repro.graphs.random_families import random_outerplanar, random_tree
 from repro.graphs.twins import remove_true_twins, true_twin_classes
+from repro.local_model.engine import SimulationEngine
 from repro.local_model.identifiers import shuffled_ids
 from repro.local_model.network import Network
 from repro.local_model.protocols import (
@@ -17,7 +18,6 @@ from repro.local_model.protocols import (
     TwinElectionProtocol,
     run_protocol_dominating_set,
 )
-from repro.local_model.runtime import SynchronousRuntime
 
 
 class TestDegreeTwoProtocol:
@@ -49,7 +49,7 @@ class TestTwinElection:
     def test_detects_twin_classes(self, small_zoo):
         for g in small_zoo:
             network = Network(g)
-            result = SynchronousRuntime(network, max_rounds=5).run(TwinElectionProtocol)
+            result = SimulationEngine(network, max_rounds=5).run(TwinElectionProtocol)
             reps = {v for v, (is_rep, _) in result.outputs.items() if is_rep}
             expected = {min(cls, key=repr) for cls in true_twin_classes(g)}
             assert reps == expected, g
@@ -57,19 +57,19 @@ class TestTwinElection:
     def test_clique_single_representative(self):
         g = nx.complete_graph(5)
         network = Network(g)
-        result = SynchronousRuntime(network, max_rounds=5).run(TwinElectionProtocol)
+        result = SimulationEngine(network, max_rounds=5).run(TwinElectionProtocol)
         reps = {v for v, (is_rep, _) in result.outputs.items() if is_rep}
         assert reps == {0}
 
     def test_representative_uid_consistent(self, cycle6):
         network = Network(cycle6)
-        result = SynchronousRuntime(network, max_rounds=5).run(TwinElectionProtocol)
+        result = SimulationEngine(network, max_rounds=5).run(TwinElectionProtocol)
         for v, (is_rep, rep) in result.outputs.items():
             assert is_rep == (rep == v)
 
     def test_two_rounds(self, path5):
         network = Network(path5)
-        result = SynchronousRuntime(network, max_rounds=5).run(TwinElectionProtocol)
+        result = SimulationEngine(network, max_rounds=5).run(TwinElectionProtocol)
         assert result.rounds == 2
 
 

@@ -1,13 +1,13 @@
-"""Tests for the synchronous scheduler."""
+"""Round semantics of the simulation engine under the LOCAL scheduler."""
 
 import networkx as nx
 import pytest
 
 from repro.graphs import generators as gen
 from repro.local_model.algorithm import LocalAlgorithm
+from repro.local_model.engine import SimulationEngine
 from repro.local_model.network import Network
 from repro.local_model.node import NodeContext
-from repro.local_model.runtime import SynchronousRuntime, run_algorithm
 
 
 class EchoOnce(LocalAlgorithm):
@@ -45,25 +45,25 @@ class Silent(LocalAlgorithm):
 
 class TestRuntime:
     def test_neighbor_discovery(self, cycle6):
-        result = run_algorithm(Network(cycle6), EchoOnce)
+        result = SimulationEngine(Network(cycle6)).run(EchoOnce)
         assert result.outputs[0] == [1, 5]
         assert result.rounds == 1
 
     def test_round_count(self, path5):
-        result = run_algorithm(Network(path5), lambda: CountDown(4))
+        result = SimulationEngine(Network(path5)).run(lambda: CountDown(4))
         assert result.rounds == 4
 
     def test_outputs_for_all_nodes(self, path5):
-        result = run_algorithm(Network(path5), EchoOnce)
+        result = SimulationEngine(Network(path5)).run(EchoOnce)
         assert set(result.outputs) == set(path5.nodes)
 
     def test_non_halting_raises(self, path5):
-        runtime = SynchronousRuntime(Network(path5), max_rounds=5)
+        engine = SimulationEngine(Network(path5), max_rounds=5)
         with pytest.raises(RuntimeError, match="did not halt"):
-            runtime.run(Silent)
+            engine.run(Silent)
 
     def test_trace_accounting(self, cycle6):
-        result = run_algorithm(Network(cycle6), EchoOnce)
+        result = SimulationEngine(Network(cycle6)).run(EchoOnce)
         # every node broadcasts once on both ports: 12 messages total
         assert result.trace.total_messages == 12
         assert result.trace.round_count == 1
@@ -71,7 +71,7 @@ class TestRuntime:
     def test_single_node_network(self):
         g = nx.Graph()
         g.add_node(0)
-        result = run_algorithm(Network(g), EchoOnce)
+        result = SimulationEngine(Network(g)).run(EchoOnce)
         assert result.outputs[0] == []
 
     def test_heterogeneous_halting(self):
@@ -92,6 +92,6 @@ class TestRuntime:
                     ctx.state["seen"].append(ctx.inbox)
                     ctx.broadcast(ctx.uid)
 
-        result = run_algorithm(Network(g), LeafFast)
+        result = SimulationEngine(Network(g)).run(LeafFast)
         assert result.outputs[0] == "hub"
         assert all(result.outputs[v] == "leaf" for v in range(1, 5))

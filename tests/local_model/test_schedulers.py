@@ -3,14 +3,46 @@
 import pytest
 
 from repro.graphs import generators as gen
+from repro.local_model.algorithm import LocalAlgorithm
 from repro.local_model.engine import FaultPlan, SimulationEngine, scheduler_for
 from repro.local_model.network import Network
+from repro.local_model.node import NodeContext
 from repro.local_model.protocols import D2Protocol
-from repro.local_model.schedulers import (
-    AdversarialScheduler,
-    AsyncScheduler,
-    PendingMessage,
-)
+from repro.local_model.schedulers import AdversarialScheduler, AsyncScheduler
+
+
+class TwoSends(LocalAlgorithm):
+    """Node 0 sends "stale" from on_init and "fresh" in round 1; node 1
+    records what its single port holds in each round."""
+
+    def on_init(self, ctx: NodeContext) -> None:
+        if ctx.uid == 0:
+            ctx.send(0, "stale")
+
+    def on_round(self, ctx: NodeContext) -> None:
+        if ctx.uid == 0:
+            if ctx.state.setdefault("sent", False):
+                ctx.halt(None)
+            else:
+                ctx.state["sent"] = True
+                ctx.send(0, "fresh")
+            return
+        seen = ctx.state.setdefault("seen", [])
+        seen.append(ctx.inbox.get(0))
+        if len(seen) == 3:
+            ctx.halt(seen)
+
+
+def collide(scheduler_class):
+    """Run :class:`TwoSends` with the first message held one round, so
+    both land on node 1's port in round 2."""
+
+    class Colliding(scheduler_class):
+        def delay(self, round_index, sender_uid, receiver_uid):
+            return 1 if round_index == 1 else 0
+
+    engine = SimulationEngine(Network(gen.path(2)), Colliding(), max_rounds=8)
+    return engine.run(TwoSends).outputs[1]
 
 
 class TestAsyncScheduler:
@@ -21,44 +53,31 @@ class TestAsyncScheduler:
     def test_delays_are_bounded_and_seeded(self):
         first = AsyncScheduler(delay_bound=3, seed=7)
         second = AsyncScheduler(delay_bound=3, seed=7)
-        draws = [first.delay(1, i, 0, 1) for i in range(50)]
-        assert draws == [second.delay(1, i, 0, 1) for i in range(50)]
+        draws = [first.delay(1, 0, 1) for _ in range(50)]
+        assert draws == [second.delay(1, 0, 1) for _ in range(50)]
         assert all(0 <= d <= 3 for d in draws)
         assert len(set(draws)) > 1
 
     def test_zero_bound_never_draws(self):
         scheduler = AsyncScheduler(delay_bound=0, seed=7)
-        assert [scheduler.delay(1, i, 0, 1) for i in range(10)] == [0] * 10
+        assert [scheduler.delay(1, 0, 1) for _ in range(10)] == [0] * 10
 
     def test_order_is_fifo(self):
-        due = [
-            PendingMessage(2, 1, 0, 0, "late", 3),
-            PendingMessage(1, 0, 0, 0, "early", 3),
-            PendingMessage(2, 0, 0, 0, "mid", 3),
-        ]
-        assert [m.payload for m in AsyncScheduler().order(due)] == [
-            "early",
-            "mid",
-            "late",
-        ]
+        # oldest first, so the freshest payload is written last and wins
+        assert not AsyncScheduler.newest_first
+        assert collide(AsyncScheduler) == [None, "fresh", None]
 
 
 class TestAdversarialScheduler:
     def test_holds_messages_up_the_identifier_order(self):
         scheduler = AdversarialScheduler(delay_bound=2)
-        assert scheduler.delay(1, 0, sender_uid=0, receiver_uid=5) == 2
-        assert scheduler.delay(1, 0, sender_uid=5, receiver_uid=0) == 0
+        assert scheduler.delay(1, sender_uid=0, receiver_uid=5) == 2
+        assert scheduler.delay(1, sender_uid=5, receiver_uid=0) == 0
 
     def test_stalest_payload_wins_the_port_slot(self):
-        due = [
-            PendingMessage(1, 0, 0, 0, "stale", 3),
-            PendingMessage(2, 1, 0, 0, "fresh", 3),
-        ]
         # Newest delivered first, so the stale write lands last.
-        assert [m.payload for m in AdversarialScheduler().order(due)] == [
-            "fresh",
-            "stale",
-        ]
+        assert AdversarialScheduler.newest_first
+        assert collide(AdversarialScheduler) == [None, "stale", None]
 
     def test_zero_bound_recovers_synchrony(self):
         graph = gen.cycle(8)
@@ -80,17 +99,17 @@ class TestSchedulerFor:
     def test_async_and_adversarial_models(self):
         async_s = scheduler_for("async", delay=3, seed=11)
         assert async_s.model == "async"
-        assert async_s.plans_delivery and not async_s.enforces
+        assert not async_s.newest_first and not async_s.enforces
         assert async_s.delay_bound == 3 and async_s.seed == 11
         adv = scheduler_for("adversarial", delay=1)
         assert adv.model == "adversarial"
-        assert adv.plans_delivery and adv.delay_bound == 1
+        assert adv.newest_first and adv.delay_bound == 1
 
-    def test_local_and_congest_do_not_plan_delivery(self):
-        local = scheduler_for("local")
-        assert not getattr(local, "plans_delivery", False)
-        congest = scheduler_for("congest", budget=4)
-        assert not getattr(congest, "plans_delivery", False)
+    def test_local_and_congest_never_delay(self):
+        for scheduler in (scheduler_for("local"), scheduler_for("congest", budget=4)):
+            assert scheduler.delay(1, 0, 5) == scheduler.delay(1, 5, 0) == 0
+            assert not scheduler.newest_first
+            assert not hasattr(scheduler, "delay_bound")
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError, match="unknown model"):
@@ -122,6 +141,21 @@ class TestEngineWithPlannedDelivery:
     def test_delayed_messages_are_counted(self):
         result = self._run(AdversarialScheduler(delay_bound=2))
         assert result.delayed_messages > 0
+
+    def test_delaying_scheduler_shields_even_at_zero_bound(self):
+        class Explodes(D2Protocol):
+            def on_round(self, ctx):
+                raise RuntimeError("boom")
+
+        def run(scheduler):
+            return SimulationEngine(
+                Network(gen.path(3)), scheduler, max_rounds=8
+            ).run(Explodes)
+
+        assert set(run(AsyncScheduler(delay_bound=0)).failed) == {0, 1, 2}
+        assert set(run(AdversarialScheduler(delay_bound=0)).failed) == {0, 1, 2}
+        with pytest.raises(RuntimeError, match="boom"):
+            run(None)
 
     def test_stale_inputs_shield_instead_of_crash(self):
         # D2's phase payloads can arrive out of phase under delays; the

@@ -88,6 +88,22 @@ class TestEndpoints:
         assert body["status"] == "ok"
         assert body["workers"] == 2
 
+    def test_keep_alive_responses_do_not_stall(self, serve):
+        # Headers and body go out in separate writes; with Nagle's
+        # algorithm on, each kept-alive response waited for a delayed ACK.
+        conn = HTTPConnection("127.0.0.1", serve.port, timeout=30)
+        try:
+            start = time.perf_counter()
+            for _ in range(20):
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                response.read()
+                assert response.status == 200
+            elapsed = time.perf_counter() - start
+        finally:
+            conn.close()
+        assert elapsed < 0.3, f"20 keep-alive requests took {elapsed:.3f}s"
+
     def test_stats_envelope(self, serve):
         status, _, body = serve.json("GET", "/stats")
         assert status == 200
