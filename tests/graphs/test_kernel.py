@@ -17,8 +17,9 @@ from repro.analysis.domination import (
     is_dominating_set,
     undominated_vertices,
 )
-from repro.core.d2 import d2_set, gamma
+from repro.core.d2 import d2_dominating_set, d2_set, gamma
 from repro.graphs.kernel import GraphKernel, invalidate_kernel, iter_bits, kernel_for
+from repro.graphs.twins import remove_true_twins
 from repro.graphs.util import ball, ball_of_set, closed_neighborhood_of_set
 from repro.solvers.greedy import greedy_b_dominating_set
 
@@ -87,12 +88,82 @@ def nx_greedy_b_dominating_set(graph, targets, candidates=None):
     return chosen
 
 
+def nx_d2_set(graph):
+    """``D₂`` by definition: no neighbor ``u`` has ``N[v] ⊆ N[u]``."""
+    closed = {v: nx_closed_neighborhood_of_set(graph, [v]) for v in graph.nodes}
+    return {
+        v
+        for v in graph.nodes
+        if not any(closed[v] <= closed[u] for u in graph.neighbors(v) if u != v)
+    }
+
+
+def nx_remove_true_twins(graph):
+    """Iterated true-twin removal: ``(survivors, representative map)``.
+
+    Each round groups the survivors by their closed neighborhood inside
+    the survivor-induced subgraph and keeps the repr-least member of
+    every class; rounds repeat until no class has two members.
+    """
+    survivors = set(graph.nodes)
+    parent = {v: v for v in graph.nodes}
+    while True:
+        classes = {}
+        for v in survivors:
+            key = frozenset(nx_closed_neighborhood_of_set(graph, [v]) & survivors)
+            classes.setdefault(key, []).append(v)
+        removed = set()
+        for members in classes.values():
+            rep = min(members, key=repr)
+            for v in members:
+                if v != rep:
+                    parent[v] = rep
+                    removed.add(v)
+        if not removed:
+            break
+        survivors -= removed
+    mapping = {}
+    for v in graph.nodes:
+        rep = v
+        while parent[rep] != rep:
+            rep = parent[rep]
+        mapping[v] = rep
+    return survivors, mapping
+
+
+def nx_d2_dominating_set(graph):
+    """Theorem 4.4 by definition: twin-reduce, take ``D₂``, and add the
+    repr-least vertex of every reduced component ``D₂`` misses."""
+    survivors, _ = nx_remove_true_twins(graph)
+    reduced = graph.subgraph(survivors)
+    solution = nx_d2_set(reduced)
+    for component in nx.connected_components(reduced):
+        if not solution & component:
+            solution.add(min(component, key=repr))
+    return solution
+
+
 def random_graphs():
     """A spread of random instances, including disconnected ones."""
     cases = []
     for seed, (n, p) in enumerate([(1, 0.5), (7, 0.4), (16, 0.2), (25, 0.1), (40, 0.05)]):
         cases.append(nx.gnp_random_graph(n, p, seed=seed))
     return cases
+
+
+def tuple_labelled_graph():
+    """A grid with tuple labels, a pendant clique of true twins hung off
+    one corner, and a separate ``K4`` that collapses to one vertex."""
+    graph = nx.grid_2d_graph(3, 4)
+    clique = [("k", i) for i in range(3)]
+    graph.add_edges_from((u, v) for u in clique for v in clique if u != v)
+    graph.add_edges_from((u, (0, 0)) for u in clique)
+    graph.add_edges_from(nx.relabel_nodes(nx.complete_graph(4), lambda i: ("z", i)).edges)
+    return graph
+
+
+def oracle_graphs():
+    return random_graphs() + [tuple_labelled_graph()]
 
 
 # -- kernel structure -----------------------------------------------------
@@ -268,7 +339,29 @@ class TestKernelAgainstNetworkx:
             assert gamma(graph, v) == nx_gamma(graph, v)
         assert d2_set(graph) == {v for v in graph.nodes if nx_gamma(graph, v) >= 2}
 
-    @pytest.mark.parametrize("graph", random_graphs(), ids=lambda g: f"n{len(g)}")
+    @pytest.mark.parametrize("graph", oracle_graphs(), ids=lambda g: f"n{len(g)}")
+    def test_d2_set_matches_definition(self, graph):
+        assert d2_set(graph) == nx_d2_set(graph)
+        for v in graph.nodes:
+            assert gamma(graph, v) == (2 if v in nx_d2_set(graph) else 1)
+
+    @pytest.mark.parametrize("graph", oracle_graphs(), ids=lambda g: f"n{len(g)}")
+    def test_twin_removal_matches_reference(self, graph):
+        reduced, mapping = remove_true_twins(graph)
+        survivors, want_map = nx_remove_true_twins(graph)
+        assert set(reduced.nodes) == survivors
+        assert {frozenset(e) for e in reduced.edges} == {
+            frozenset(e) for e in graph.subgraph(survivors).edges
+        }
+        assert mapping == want_map
+
+    @pytest.mark.parametrize("graph", oracle_graphs(), ids=lambda g: f"n{len(g)}")
+    def test_d2_pipeline_matches_reference(self, graph):
+        result = d2_dominating_set(graph)
+        assert result.solution == nx_d2_dominating_set(graph)
+        assert result.metadata["twin_free_size"] == len(nx_remove_true_twins(graph)[0])
+
+    @pytest.mark.parametrize("graph", oracle_graphs(), ids=lambda g: f"n{len(g)}")
     def test_greedy_matches_reference(self, graph):
         if graph.number_of_nodes() == 0:
             return
