@@ -21,8 +21,8 @@ from typing import Hashable
 import networkx as nx
 
 from repro.core.results import AlgorithmResult
-from repro.graphs.kernel import KernelView, kernel_for
-from repro.graphs.twins import remove_true_twins
+from repro.graphs.kernel import kernel_for
+from repro.graphs.packed import d2_members_packed, gamma_packed, twin_survivor_indices
 
 Vertex = Hashable
 
@@ -33,53 +33,38 @@ def gamma(graph: nx.Graph, v: Vertex) -> int:
     """``γ(v)``: 1 when a single other vertex dominates ``N[v]``, else ≥ 2.
 
     Only the 1-versus-more distinction matters to the algorithm, so the
-    return value is capped at 2.  ``N[v] ⊆ N[u]`` is one bitset subset
-    test per neighbor on the graph's kernel (or a batched sorted-row
-    scan on the packed backend).
+    return value is capped at 2.  ``N[v] ⊆ N[u]`` is one sorted-row
+    membership scan per neighbor over the closed CSR.
     """
     kernel = kernel_for(graph)
-    if kernel.backend == "packed":
-        from repro.graphs.packed import gamma_packed
-
-        return gamma_packed(kernel, kernel.index(v))
-    closed = kernel.closed_bits
-    i = kernel.index(v)
-    n_v = closed[i]
-    for j in kernel.neighbor_row(i):
-        if not (n_v & ~closed[j]):
-            return 1
-    return 2
+    return gamma_packed(kernel.packed(), kernel.index(v))
 
 
 def d2_set(graph: nx.Graph) -> set[Vertex]:
     """``D₂(G)``: vertices whose closed neighborhood needs ≥ 2 dominators."""
-    kernel = kernel_for(graph)
-    if kernel.backend == "packed":
-        from repro.graphs.packed import d2_members_packed
-
-        return kernel.labels_of(d2_members_packed(kernel))
-    closed = kernel.closed_bits
-    members = 0
-    for i in range(kernel.n):
-        n_v = closed[i]
-        if all(n_v & ~closed[j] for j in kernel.neighbor_row(i)):
-            members |= 1 << i
-    return kernel.labels_of(members)
+    kernel = kernel_for(graph).packed()
+    return kernel.labels_of(d2_members_packed(kernel))
 
 
-def _d2_dominating_packed(kernel) -> AlgorithmResult:
-    """The same twin-reduce → D₂ → per-component fix-up, on CSR arrays.
+def d2_dominating_set(graph: nx.Graph) -> AlgorithmResult:
+    """Theorem 4.4's algorithm: twin reduction, then output ``D₂``.
 
-    ``induced`` keeps original labels in kernel (repr) order, so the
-    reduced kernel's lowest index in a component *is* the repr-least
-    vertex — the exact deterministic fix-up the int path applies.
+    Valid on every graph; the ``(2t−1)`` guarantee holds when the input
+    is ``K_{2,t}``-minor-free.  The whole pipeline runs on CSR arrays
+    (no ``nx`` subgraphs, no mask table) for every kernel and for
+    :class:`~repro.graphs.kernel.KernelView` instances alike.
     """
-    from repro.graphs.packed import d2_members_packed, twin_survivor_indices
-
+    if graph.number_of_nodes() == 0:
+        return AlgorithmResult(name="d2", solution=set(), rounds=0)
+    kernel = kernel_for(graph).packed()
     survivors, _ = twin_survivor_indices(kernel)
     reduced = kernel.induced(survivors)
     members = d2_members_packed(reduced)
     solution = reduced.labels_of(members)
+    # A single vertex (after twin reduction a K_n collapses to one) has
+    # gamma undefined; it must dominate itself.  ``induced`` keeps labels
+    # in kernel (repr) order, so a component's lowest index is its
+    # repr-least vertex.
     for component in reduced.components_of_mask(reduced.full_mask):
         if not (component & members):
             solution.add(reduced.labels[int(component.indices()[0])])
@@ -90,44 +75,4 @@ def _d2_dominating_packed(kernel) -> AlgorithmResult:
         phases={"d2": set(solution)},
         round_breakdown={"total": D2_ROUNDS},
         metadata={"twin_free_size": reduced.n},
-    )
-
-
-def d2_dominating_set(graph: nx.Graph) -> AlgorithmResult:
-    """Theorem 4.4's algorithm: twin reduction, then output ``D₂``.
-
-    Valid on every graph; the ``(2t−1)`` guarantee holds when the input
-    is ``K_{2,t}``-minor-free.  Packed kernels and
-    :class:`~repro.graphs.kernel.KernelView` instances run the whole
-    pipeline on CSR arrays (no ``nx`` subgraphs, no mask table) with
-    bit-identical output.
-    """
-    if graph.number_of_nodes() == 0:
-        return AlgorithmResult(name="d2", solution=set(), rounds=0)
-    kernel = kernel_for(graph)
-    if kernel.backend == "packed":
-        return _d2_dominating_packed(kernel)
-    if isinstance(graph, KernelView):
-        # A small view resolves to the int backend, but there is no
-        # nx.Graph to take twin subgraphs of — lift the int kernel's
-        # CSR into a packed kernel and run the array pipeline.
-        from repro.graphs.packed import PackedGraphKernel
-
-        return _d2_dominating_packed(
-            PackedGraphKernel(kernel.labels, kernel.indptr, kernel.indices)
-        )
-    reduced, _ = remove_true_twins(graph)
-    solution = d2_set(reduced)
-    # A single vertex (after twin reduction a K_n collapses to one) has
-    # gamma undefined; it must dominate itself.
-    for component in nx.connected_components(reduced):
-        if not (solution & component):
-            solution.add(min(component, key=repr))
-    return AlgorithmResult(
-        name="d2",
-        solution=solution,
-        rounds=D2_ROUNDS,
-        phases={"d2": set(solution)},
-        round_breakdown={"total": D2_ROUNDS},
-        metadata={"twin_free_size": reduced.number_of_nodes()},
     )

@@ -20,9 +20,10 @@ from __future__ import annotations
 from typing import Hashable
 
 import networkx as nx
+import numpy as np
 
 from repro.core.results import AlgorithmResult
-from repro.graphs.kernel import iter_bits, kernel_for
+from repro.graphs.kernel import kernel_for
 from repro.local_model.algorithm import LocalAlgorithm
 from repro.local_model.node import NodeContext
 
@@ -33,50 +34,47 @@ def distributed_greedy_dominating_set(graph: nx.Graph) -> AlgorithmResult:
     """Centralized reference for the locally-maximal greedy.
 
     Phases repeat until everything is dominated; within a phase every
-    vertex whose (span, -uid) is maximal in its distance-2 ball joins
-    simultaneously.  Rounds charged: 4 per phase, matching the message
-    protocol (span exchange, maximality exchange, join announcement,
-    domination-status sync).
+    vertex whose (span, -rank) is maximal in its distance-2 ball joins
+    simultaneously (ranks from :func:`_rank`).  Rounds charged: 4 per
+    phase, matching the message protocol (span exchange, maximality
+    exchange, join announcement, domination-status sync).
 
-    Runs on the graph's bitset kernel: distance-2 balls are precomputed
-    once, spans live in a list, and after a phase only the vertices
-    whose closed neighborhood intersects the newly-dominated set get
-    their span recomputed — not all of ``graph.nodes``.  A vertex with
-    span 0 can never be a strict (span, -uid) maximum over a span ≥ 1
-    competitor, so the candidate scan is restricted to live vertices.
-    Holding all n ball-2 masks costs O(n²/8) bytes on top of the
-    kernel's closed bitsets (they are consulted for every live vertex
-    every phase, so precomputing is the right trade within the
-    kernel's 10³–10⁴ vertex target range).
+    Runs on the closed CSR of the graph's kernel (either backend), in
+    O(n + m) memory: each phase the spans are one prefix sum, the
+    (span, tie-rank) keys fold into one int64 per vertex, and two
+    ``np.maximum.reduceat`` passes over the closed rows give every
+    vertex the largest key within distance 2.  The joiners are the
+    live (span > 0) vertices holding that key; a vertex with span 0
+    gets key -1, so it never beats a live competitor.
     """
-    kernel = kernel_for(graph)
-    closed = kernel.closed_bits
-    rank = [_rank(graph, v) for v in kernel.labels]
-    ball2 = [kernel.ball_bits_from_mask(bits, 1) for bits in closed]
+    kernel = kernel_for(graph).packed()
+    n = kernel.n
+    cind, ccols = kernel._closed_csr()
+    starts = cind[:-1]
+    ranks = [_rank(v, i) for i, v in enumerate(kernel.labels)]
+    # Dense tie-ranks, larger for a smaller rank; equal ranks stay equal.
+    dense = {r: k for k, r in enumerate(sorted(set(ranks), reverse=True))}
+    tie = np.array([dense[r] for r in ranks], dtype=np.int64)
+    scale = len(dense)
 
-    undominated = kernel.full_mask
-    spans = kernel.span_counts(undominated)
-    live = undominated  # vertices with span > 0 (all of them, initially)
-    chosen = 0
+    undominated = np.ones(n, dtype=bool)
+    chosen = np.zeros(n, dtype=bool)
+    pref = np.zeros(ccols.size + 1, dtype=np.int64)
     phases = 0
-    while undominated:
+    while undominated.any():
         phases += 1
-        joiners = 0
-        for i in iter_bits(live):
-            key = (spans[i], -rank[i])
-            if all(key >= (spans[u], -rank[u]) for u in iter_bits(ball2[i] & live)):
-                joiners |= 1 << i
-        if not joiners:  # safety: cannot happen while undominated ≠ ∅
+        np.cumsum(undominated[ccols], out=pref[1:])
+        spans = pref[cind[1:]] - pref[starts]
+        live = spans > 0
+        key = np.where(live, spans * scale + tie, -1)
+        best = np.maximum.reduceat(key[ccols], starts)
+        best = np.maximum.reduceat(best[ccols], starts)
+        joiners = live & (key == best)
+        if not joiners.any():  # safety: cannot happen while undominated ≠ ∅
             raise RuntimeError("greedy stalled")
         chosen |= joiners
-        newly = kernel.closed_neighborhood_bits(joiners) & undominated
-        undominated &= ~newly
-        touched = kernel.closed_neighborhood_bits(newly) & live
-        for i in iter_bits(touched):
-            spans[i] = (closed[i] & undominated).bit_count()
-            if not spans[i]:
-                live &= ~(1 << i)
-    solution = kernel.labels_of(chosen)
+        undominated &= ~np.logical_or.reduceat(joiners[ccols], starts)
+    solution = {kernel.labels[i] for i in np.flatnonzero(chosen).tolist()}
     return AlgorithmResult(
         name="distributed_greedy",
         solution=solution,
@@ -86,9 +84,13 @@ def distributed_greedy_dominating_set(graph: nx.Graph) -> AlgorithmResult:
     )
 
 
-def _rank(graph: nx.Graph, v: Vertex) -> int:
-    """Identifier rank for tie-breaking (labels are ints in our graphs)."""
-    return v if isinstance(v, int) else hash(repr(v))
+def _rank(v: Vertex, index: int) -> int:
+    """Identifier rank for tie-breaking, assigned the way
+    :func:`~repro.local_model.identifiers.identity_ids` assigns ids: the
+    label itself when it is an int, else its kernel (repr-order) index.
+    So the result matches :func:`run_distributed_greedy` under default
+    ids, and never depends on the process hash seed."""
+    return v if isinstance(v, int) else index
 
 
 class DistributedGreedyProtocol(LocalAlgorithm):

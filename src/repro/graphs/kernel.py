@@ -70,6 +70,17 @@ should be built through :func:`kernel_from_edges` /
 :func:`kernel_from_edge_file` / :func:`read_wire` (never an
 ``nx.Graph``) and wrapped in :class:`KernelView` for the
 ``solve``/``solve_many`` front door.
+
+The whole-graph pipelines run one CSR-array core on either backend:
+the set-cover greedy, ``D₂``/``γ``, true-twin reduction and the
+distributed greedy.  An int kernel reaches them through
+:meth:`GraphKernel.packed`, a cached
+:class:`~repro.graphs.packed.PackedGraphKernel` view over its own CSR.
+``two_packing_lower_bound`` keeps one core per backend (its int loop
+is faster at every size it was measured at).  The int-only pipelines
+— the small-subset searches that read ``closed_bits`` — are exact
+branch and bound with its ``PackingBound``, local cuts, cuts,
+interesting vertices, ``algorithm1`` and ``weak_diameter_mask``.
 """
 
 from __future__ import annotations
@@ -207,6 +218,7 @@ class GraphKernel:
         "full_mask",
         "_back_ports",
         "_dense_cut",
+        "_packed",
         "__weakref__",
     )
 
@@ -235,6 +247,7 @@ class GraphKernel:
         self._back_ports: array | None = None
         # Ball walks go bitset-dense past this many visited vertices.
         self._dense_cut = max(64, n >> 3)
+        self._packed = None
 
     @classmethod
     def _from_csr(cls, labels: list[Vertex], indptr: array, indices: array) -> "GraphKernel":
@@ -262,11 +275,34 @@ class GraphKernel:
         self.full_mask = (1 << n) - 1
         self._back_ports = None
         self._dense_cut = max(64, n >> 3)
+        self._packed = None
         return self
 
     def to_wire(self) -> KernelWire:
         """This kernel as a :class:`KernelWire` (labels + CSR bytes)."""
         return KernelWire(tuple(self.labels), self.indptr.tobytes(), self.indices.tobytes())
+
+    def packed(self):
+        """This kernel's CSR as a :class:`~repro.graphs.packed.PackedGraphKernel`.
+
+        The whole-graph pipeline cores run on CSR arrays only; this view
+        hands them the kernel's own ``array('q')`` CSR through
+        ``np.frombuffer`` (no copy) and shares ``labels`` and
+        ``index_of``.  Built on first use, then cached with the kernel.
+        """
+        if self._packed is None:
+            import numpy as np
+
+            from repro.graphs.packed import PackedGraphKernel
+
+            view = PackedGraphKernel(
+                self.labels,
+                np.frombuffer(self.indptr, dtype=np.int64),
+                np.frombuffer(self.indices, dtype=np.int64),
+            )
+            view._index_of = self.index_of
+            self._packed = view
+        return self._packed
 
     # -- label <-> index <-> mask conversions --------------------------------
 
@@ -363,13 +399,7 @@ class GraphKernel:
         return self.full_mask & ~self.closed_neighborhood_bits(mask)
 
     def span_counts(self, undominated_mask: int) -> list[int]:
-        """Residual spans ``|N[v] ∩ U|`` for every vertex, as a list.
-
-        Incremental consumers (the distributed greedy's phase loop)
-        refresh individual entries in place with
-        ``(closed_bits[i] & undominated).bit_count()`` instead of
-        recomputing the whole list.
-        """
+        """Residual spans ``|N[v] ∩ U|`` for every vertex, as a list."""
         closed = self.closed_bits
         return [(bits & undominated_mask).bit_count() for bits in closed]
 
@@ -626,13 +656,15 @@ def _structural_fingerprint(graph: nx.Graph) -> tuple[int, int, int, int]:
     """
     node_acc = 0
     for v in graph.nodes:
+        # repro: ignore[RPR003] salted per process, but the fingerprint is
+        # only ever compared within the process that recorded it.
         node_acc ^= hash(v)
     edge_acc = 0
     for u, v in graph.edges:
-        hu, hv = hash(u), hash(v)
+        hu, hv = hash(u), hash(v)  # repro: ignore[RPR003] in-process only
         if hu > hv:
             hu, hv = hv, hu
-        edge_acc ^= hash((hu, hv))
+        edge_acc ^= hash((hu, hv))  # repro: ignore[RPR003] in-process only
     return (graph.number_of_nodes(), graph.number_of_edges(), node_acc, edge_acc)
 
 

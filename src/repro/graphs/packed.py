@@ -25,6 +25,11 @@ it only implements.  Labels follow the same contract as the int
 kernel: kernel index order *is* repr-sorted label order, so greedy
 tie-breaks, component ordering, and port numbering agree bit-for-bit
 across backends.
+
+The whole-graph pipeline cores at the bottom of this module (greedy
+cover, D₂, twin reduction) are the only implementations of those
+pipelines: an int kernel reaches them through its cached
+:meth:`~repro.graphs.kernel.GraphKernel.packed` view over the same CSR.
 """
 
 from __future__ import annotations
@@ -118,6 +123,14 @@ class PackedMask:
             flags[idx] = True
         return cls.from_bool(flags)
 
+    @classmethod
+    def from_bytes(cls, n: int, data: bytes) -> "PackedMask":
+        """Mask from little-endian bytes, e.g. ``mask.to_bytes(k, "little")``
+        of an int mask (``k ≤ ceil(n/64)·8``; missing bytes are zero)."""
+        words = np.zeros(_word_count(n), dtype=np.uint64)
+        words.view(np.uint8)[: len(data)] = np.frombuffer(data, dtype=np.uint8)
+        return cls(n, words)
+
     # -- decoding --
 
     def to_bool(self) -> np.ndarray:
@@ -131,6 +144,11 @@ class PackedMask:
     def indices(self) -> np.ndarray:
         """Set-bit indices, ascending (the packed ``iter_bits``)."""
         return np.flatnonzero(self.to_bool())
+
+    def to_bytes(self) -> bytes:
+        """The words as little-endian bytes; ``int.from_bytes(m.to_bytes(),
+        "little")`` is the int-backend mask of the same set."""
+        return self.words.view(np.uint8).tobytes()
 
     def bit_count(self) -> int:
         return popcount_words(self.words)
@@ -340,8 +358,7 @@ class PackedGraphKernel:
     port order — but every vertex-set value is a :class:`PackedMask`
     and every primitive is a vectorized scan over the CSR arrays.
     Memory is O(n + m) words; there is deliberately **no**
-    ``closed_bits`` table (accessing it raises with a pointer to the
-    int backend).
+    ``closed_bits`` table (accessing it raises).
 
     Build through :func:`repro.graphs.kernel.kernel_for`,
     :func:`repro.graphs.kernel.kernel_from_edges`, or a wire; direct
@@ -368,7 +385,7 @@ class PackedGraphKernel:
 
     def __init__(self, labels: Sequence[Vertex], indptr, indices):
         self.n = len(labels)
-        self.labels = list(labels)
+        self.labels = labels if isinstance(labels, list) else list(labels)
         self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
         self.indices = np.ascontiguousarray(indices, dtype=np.int64)
         if all(type(label) is int for label in self.labels):
@@ -427,15 +444,20 @@ class PackedGraphKernel:
             self._full = PackedMask.full(self.n)
         return self._full
 
+    def packed(self) -> "PackedGraphKernel":
+        """This kernel itself (the int kernel's method returns a view)."""
+        return self
+
     @property
     def closed_bits(self):
         raise AttributeError(
             "PackedGraphKernel has no closed_bits: per-node closed-neighborhood "
             "masks are not precomputed on the packed backend (that table is the "
-            "O(n^2) memory it exists to avoid). Use closed_neighborhood_bits / "
-            "union_closed_bits / span_counts, or force the int backend "
-            "(REPRO_KERNEL_BACKEND=int or set_kernel_backend('int')) for "
-            "pipelines that need the mask table."
+            "O(n^2) memory it exists to avoid). Greedy, D2, twin reduction and "
+            "the distributed greedy run on either backend; the int-only "
+            "small-subset searches (exact B&B, local cuts, cuts, interesting "
+            "vertices, algorithm1) need the int backend "
+            "(REPRO_KERNEL_BACKEND=int or set_kernel_backend('int'))."
         )
 
     def _closed_csr(self):
@@ -694,13 +716,14 @@ class PackedGraphKernel:
 def greedy_cover_packed(
     kernel: PackedGraphKernel, target_mask: PackedMask, candidate_mask: PackedMask
 ) -> PackedMask:
-    """Packed twin of ``greedy_cover_mask`` — identical output.
+    """The set-cover greedy: the one selection loop behind every greedy.
 
+    Each pick is the candidate covering the most still-uncovered
+    targets, ties toward the lowest kernel index (= ``repr`` order).
     Lazy-greedy with a max-heap of stale gains: gains only decrease as
     targets get covered (submodularity), so a popped entry whose
     recomputed gain still matches its key is a true maximum.  Heap
-    order is ``(-gain, index)``, which reproduces the int backend's
-    "strictly greater beats, lowest index wins ties" selection exactly.
+    order is ``(-gain, index)``, which is exactly that selection.
     """
     n = kernel.n
     remaining = target_mask.to_bool()
@@ -735,7 +758,7 @@ def greedy_cover_packed(
 
 
 def two_packing_packed(kernel: PackedGraphKernel) -> int:
-    """Packed twin of ``two_packing_lower_bound`` — identical count.
+    """Array form of ``two_packing_lower_bound`` — identical count.
 
     Same deterministic greedy: visit vertices by ascending ``(degree,
     index)``, pick if unblocked, block the radius-2 ball — with the
@@ -760,7 +783,7 @@ def two_packing_packed(kernel: PackedGraphKernel) -> int:
 
 
 def d2_members_packed(kernel: PackedGraphKernel) -> PackedMask:
-    """``D₂(G)`` membership as a packed mask — identical to the int path.
+    """``D₂(G)`` membership as a packed mask.
 
     ``v ∉ D₂`` iff some neighbor ``u`` has ``N[v] ⊆ N[u]``.  Candidate
     pairs are pre-filtered by closed degree, then all subset tests run
@@ -808,7 +831,7 @@ def d2_members_packed(kernel: PackedGraphKernel) -> PackedMask:
 
 
 def gamma_packed(kernel: PackedGraphKernel, index: int) -> int:
-    """Packed twin of ``d2.gamma`` for one kernel index (capped at 2)."""
+    """``γ`` of one kernel index, capped at 2 (see :func:`repro.core.d2.gamma`)."""
     cind, ccols = kernel._closed_csr()
     closed_row = ccols[cind[index] : cind[index + 1]]
     for j in kernel.neighbor_row(index).tolist():
@@ -825,7 +848,7 @@ def gamma_packed(kernel: PackedGraphKernel, index: int) -> int:
 def twin_survivor_indices(kernel: PackedGraphKernel) -> tuple[np.ndarray, np.ndarray]:
     """Iterated true-twin removal: ``(survivors, representative)``.
 
-    Mirrors ``remove_true_twins``: per round, survivors are grouped by
+    The core of ``remove_true_twins``: per round, survivors are grouped by
     their closed neighborhood *within the current survivor set* and
     only the lowest-index member of each class survives; rounds repeat
     until a fixpoint.  The grouping is two prefix sums (masked closed

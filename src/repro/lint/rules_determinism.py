@@ -2,9 +2,10 @@
 
 Reports are byte-deterministic by contract: ``solve_many`` with
 ``workers=4`` must emit JSON byte-identical to a serial run, modulo the
-sanctioned ``wall_time`` slots.  Three leak classes are checked in the
-report-producing modules (``io``, ``cli``, ``experiments/``,
-``analysis/tables``, ``api/runner``, ``api/simulation``, ``serve/``):
+sanctioned ``wall_time`` slots.  Four leak classes are checked, the
+first two in the report-producing modules (``io``, ``cli``,
+``experiments/``, ``analysis/tables``, ``api/runner``,
+``api/simulation``, ``serve/``):
 
 * iterating a ``set``/``frozenset`` (arbitrary order) straight into
   output — a ``for`` loop, comprehension, ``list()``/``tuple()``
@@ -15,7 +16,12 @@ report-producing modules (``io``, ``cli``, ``experiments/``,
   slots;
 * module-level RNG use (``random.shuffle`` et al. on the global
   generator, or ``random.Random()`` with no seed) — checked in *every*
-  module, since an unseeded RNG anywhere poisons downstream reports.
+  module, since an unseeded RNG anywhere poisons downstream reports;
+* the builtin ``hash`` (called, or passed as in ``key=hash``) — also
+  checked in every module: it is salted per process for ``str`` and
+  ``bytes`` (``PYTHONHASHSEED``), so any ordering or tie-break built
+  on it changes from run to run.  A module that binds the name
+  ``hash`` itself is skipped.
 """
 
 from __future__ import annotations
@@ -87,6 +93,7 @@ class NondeterminismRule:
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
         yield from self._check_unseeded_random(module)
+        yield from self._check_builtin_hash(module)
         if not is_report_module(module.path):
             return
         for scope in module.scopes():
@@ -248,6 +255,28 @@ class NondeterminismRule:
                 f"random.Random(seed) through instead"
             ),
         )
+
+    # -- salted builtin hash -------------------------------------------------
+
+    def _check_builtin_hash(self, module: ModuleContext) -> Iterator[Finding]:
+        nodes = list(ast.walk(module.tree))
+        names = [n for n in nodes if isinstance(n, ast.Name) and n.id == "hash"]
+        if any(not isinstance(n.ctx, ast.Load) for n in names) or any(
+            isinstance(n, ast.arg) and n.arg == "hash" for n in nodes
+        ):
+            return  # the module binds its own ``hash``
+        for node in names:
+            yield Finding(
+                path=module.path,
+                line=node.lineno,
+                col=node.col_offset,
+                rule=self.rule,
+                message=(
+                    "builtin hash() is salted per process for str/bytes, so "
+                    "anything ordered or tie-broken by it differs between "
+                    "runs; use a stable key (an index, repr order, hashlib)"
+                ),
+            )
 
 
 def _contains(root: ast.AST, target: ast.AST) -> bool:

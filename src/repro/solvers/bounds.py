@@ -9,10 +9,10 @@ Used to sanity-check measured ratios (an algorithm's output divided by a
 * LP relaxation of the domination ILP.
 
 The combinatorial bounds run on the graph's
-:class:`~repro.graphs.kernel.GraphKernel` bitsets, and the mask-level
-cores (:func:`greedy_cover_mask`, :class:`PackingBound`) are exactly
-what :mod:`repro.solvers.branch_and_bound` uses for its incumbent and
-its per-node lower bound — one implementation for B&B and standalone
+:class:`~repro.graphs.kernel.GraphKernel`, and the mask-level cores
+(:func:`greedy_cover_mask`, :class:`PackingBound`) are exactly what
+:mod:`repro.solvers.branch_and_bound` uses for its incumbent and its
+per-node lower bound — one implementation for B&B and standalone
 callers alike.
 """
 
@@ -27,7 +27,7 @@ from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 from scipy.sparse import csr_matrix
 
 from repro.graphs.kernel import GraphKernel, iter_bits, kernel_for
-from repro.graphs.packed import greedy_cover_packed, two_packing_packed
+from repro.graphs.packed import PackedMask, greedy_cover_packed, two_packing_packed
 from repro.graphs.util import ball, closed_neighborhood
 
 Vertex = Hashable
@@ -36,38 +36,31 @@ Vertex = Hashable
 # -- mask-level cores (shared with branch-and-bound) -----------------------
 
 
-def greedy_cover_mask(kernel: GraphKernel, target_mask: int, candidate_mask: int) -> int:
+def greedy_cover_mask(kernel: GraphKernel, target_mask, candidate_mask):
     """Greedy cover of ``target_mask`` by ``candidate_mask`` bits.
 
-    The classical set-cover greedy on closed-neighborhood bitsets: each
-    gain is one AND + ``bit_count``, ties break toward the lowest kernel
-    index (= ``repr`` order, the historical tie-break).  The popcount of
-    the returned mask is a valid upper bound on the restricted
-    domination number — branch-and-bound uses it as its incumbent, and
-    :func:`repro.solvers.greedy.greedy_b_dominating_set` is a label
-    wrapper around it.
+    The classical set-cover greedy (max gain, ties toward the lowest
+    kernel index = ``repr`` order), in the kernel's own mask type.  The
+    popcount of the returned mask is a valid upper bound on the
+    restricted domination number — branch-and-bound uses it as its
+    incumbent.
 
-    Backend-generic: on a packed kernel the masks are
-    :class:`~repro.graphs.packed.PackedMask` and the core dispatches to
-    the lazy-heap :func:`~repro.graphs.packed.greedy_cover_packed`,
-    which reproduces this selection (max gain, lowest index) exactly.
+    The selection loop is the lazy-heap
+    :func:`~repro.graphs.packed.greedy_cover_packed` on
+    ``kernel.packed()``; int masks are converted to packed words once
+    on the way in and back to an int once on the way out.
     """
-    if kernel.backend == "packed":
-        return greedy_cover_packed(kernel, target_mask, candidate_mask)
-    closed = kernel.closed_bits
-    remaining = target_mask
-    chosen = 0
-    while remaining:
-        gain, pick = 0, -1
-        for c in iter_bits(candidate_mask & ~chosen):
-            value = (closed[c] & remaining).bit_count()
-            if value > gain:
-                gain, pick = value, c
-        if pick < 0:
-            raise ValueError("some target cannot be dominated by any candidate")
-        chosen |= 1 << pick
-        remaining &= ~closed[pick]
-    return chosen
+    packed = kernel.packed()
+    if not isinstance(target_mask, int):
+        return greedy_cover_packed(packed, target_mask, candidate_mask)
+    n = kernel.n
+    size = (n + 7) >> 3
+    chosen = greedy_cover_packed(
+        packed,
+        PackedMask.from_bytes(n, target_mask.to_bytes(size, "little")),
+        PackedMask.from_bytes(n, candidate_mask.to_bytes(size, "little")),
+    )
+    return int.from_bytes(chosen.to_bytes(), "little")
 
 
 class PackingBound:

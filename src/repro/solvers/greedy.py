@@ -13,7 +13,7 @@ from typing import Hashable, Iterable
 import networkx as nx
 
 from repro.graphs.kernel import kernel_for
-from repro.solvers.bounds import greedy_cover_mask
+from repro.graphs.packed import greedy_cover_packed
 
 Vertex = Hashable
 
@@ -25,14 +25,13 @@ def greedy_b_dominating_set(
 ) -> set[Vertex]:
     """Greedy set of ``candidates`` dominating ``targets``.
 
-    Deterministic: ties break toward the smallest vertex (repr order —
-    which is exactly the kernel's index order, so scanning candidate
-    bits ascending with a strict improvement test reproduces the
-    historical tie-breaking).  The mask core is
-    :func:`repro.solvers.bounds.greedy_cover_mask` — the same
-    implementation branch-and-bound seeds its incumbent with.
+    Deterministic: each pick covers the most still-undominated targets,
+    ties toward the smallest vertex (repr order — exactly the kernel's
+    index order).  The selection loop is
+    :func:`repro.graphs.packed.greedy_cover_packed` on the kernel's CSR,
+    the same core branch-and-bound seeds its incumbent with.
     """
-    kernel = kernel_for(graph)
+    kernel = kernel_for(graph).packed()
     remaining = kernel.bits_of(targets)
     if not remaining:
         return set()
@@ -40,7 +39,7 @@ def greedy_b_dominating_set(
         candidate_mask = kernel.closed_neighborhood_bits(remaining)
     else:
         candidate_mask = kernel.bits_of(candidates)
-    return kernel.labels_of(greedy_cover_mask(kernel, remaining, candidate_mask))
+    return kernel.labels_of(greedy_cover_packed(kernel, remaining, candidate_mask))
 
 
 def greedy_dominating_set(graph: nx.Graph) -> set[Vertex]:

@@ -1,6 +1,13 @@
 """Tests for the distributed greedy baseline (centralized + protocol)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import networkx as nx
+
+import repro
 
 from repro.analysis.domination import is_dominating_set
 from repro.core.distributed_greedy import (
@@ -80,3 +87,34 @@ class TestProtocol:
 
     def test_rounds_recorded(self, path5):
         assert run_distributed_greedy(path5).rounds >= 4
+
+
+class TestTieRanks:
+    """Non-int labels rank by kernel index, as ``identity_ids`` assigns."""
+
+    def test_tuple_labels_agree_with_protocol(self):
+        g = nx.grid_2d_graph(6, 6)
+        central = distributed_greedy_dominating_set(g)
+        proto = run_distributed_greedy(g)
+        assert central.solution == proto.solution
+        assert is_dominating_set(g, central.solution)
+
+    def test_tuple_labels_ignore_the_hash_seed(self):
+        script = (
+            "import networkx as nx\n"
+            "from repro.core.distributed_greedy import distributed_greedy_dominating_set\n"
+            "result = distributed_greedy_dominating_set(nx.grid_2d_graph(6, 6))\n"
+            "print(sorted(result.solution), result.rounds)\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        outputs = set()
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            out = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True, text=True, env=env, check=True,
+            )
+            outputs.add(out.stdout)
+        assert len(outputs) == 1
+        central = distributed_greedy_dominating_set(nx.grid_2d_graph(6, 6))
+        assert outputs == {f"{sorted(central.solution)} {central.rounds}\n"}

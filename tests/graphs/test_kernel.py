@@ -333,17 +333,11 @@ class TestKernelAgainstNetworkx:
             expected = len(nx_closed_neighborhood_of_set(graph, [v]) & undominated)
             assert spans[kernel.index(v)] == expected
 
-    @pytest.mark.parametrize("graph", random_graphs(), ids=lambda g: f"n{len(g)}")
+    @pytest.mark.parametrize("graph", oracle_graphs(), ids=lambda g: f"n{len(g)}")
     def test_gamma_and_d2(self, graph):
         for v in graph.nodes:
             assert gamma(graph, v) == nx_gamma(graph, v)
-        assert d2_set(graph) == {v for v in graph.nodes if nx_gamma(graph, v) >= 2}
-
-    @pytest.mark.parametrize("graph", oracle_graphs(), ids=lambda g: f"n{len(g)}")
-    def test_d2_set_matches_definition(self, graph):
         assert d2_set(graph) == nx_d2_set(graph)
-        for v in graph.nodes:
-            assert gamma(graph, v) == (2 if v in nx_d2_set(graph) else 1)
 
     @pytest.mark.parametrize("graph", oracle_graphs(), ids=lambda g: f"n{len(g)}")
     def test_twin_removal_matches_reference(self, graph):

@@ -345,7 +345,7 @@ def test_solve_on_kernel_view_matches_graph(restore_backend):
     graph = nx.gnp_random_graph(25, 0.2, seed=4)
     view = KernelView(kernel_for(graph, backend="packed"))
     config = RunConfig(validate="valid")
-    for name in ("d2", "greedy_central", "take_all"):
+    for name in ("d2", "greedy_central", "greedy", "take_all"):
         got = solve(view, name, config)
         want = solve(graph, name, config)
         assert got.result.solution == want.result.solution

@@ -166,3 +166,49 @@ def test_other_local_model_modules_stay_unmarked():
             return [port for port in set(changed)]
     """
     assert rpr003(src, "src/repro/local_model/engine.py") == []
+
+
+# -- builtin hash (checked in every module) ----------------------------------
+
+
+def test_builtin_hash_call_fires_everywhere():
+    src = """
+        def rank(v):
+            return v if isinstance(v, int) else hash(repr(v))
+    """
+    assert rpr003(src, path=PLAIN_PATH) == ["RPR003"]
+    assert rpr003(src) == ["RPR003"]
+
+
+def test_hash_passed_as_key_fires():
+    src = """
+        def order(labels):
+            return sorted(labels, key=hash)
+    """
+    assert rpr003(src, path=PLAIN_PATH) == ["RPR003"]
+
+
+def test_hashlib_and_dunder_hash_are_quiet():
+    src = """
+        import hashlib
+
+        class Key:
+            def __hash__(self):
+                return 7
+
+        def digest(blob):
+            return hashlib.sha256(blob).hexdigest()
+    """
+    assert rpr003(src, path=PLAIN_PATH) == []
+
+
+def test_module_binding_its_own_hash_is_quiet():
+    src = """
+        import hashlib
+
+        def digest(blob):
+            hash = hashlib.sha256(blob)
+            return hash.hexdigest()
+    """
+    assert rpr003(src, path=PLAIN_PATH) == []
+
