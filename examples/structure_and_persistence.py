@@ -14,9 +14,10 @@ from pathlib import Path
 from repro.analysis import format_table
 from repro.analysis.charging import charging_profile
 from repro.core.algorithm1 import algorithm1
+from repro.core.results import AlgorithmResult
 from repro.graphs.random_families import random_ding_augmentation
 from repro.graphs.structure import structure_summary
-from repro.io import load_graph, result_to_dict, save_graph, save_rows
+from repro.io import from_dict, load_graph, load_rows, save_graph, save_rows, to_dict
 
 
 def main() -> None:
@@ -43,7 +44,7 @@ def main() -> None:
             ]
         )
         save_graph(graph, out_dir / f"instance_{seed}.json", meta={"seed": seed})
-        save_rows([result_to_dict(result)], out_dir / f"result_{seed}.json")
+        save_rows([to_dict(result)], out_dir / f"result_{seed}.json")
 
     print(
         format_table(
@@ -56,11 +57,10 @@ def main() -> None:
     )
     print(f"\ninstances and results written to {out_dir}")
 
-    # Round-trip check: reload and re-verify one instance.
-    reloaded = load_graph(out_dir / "instance_0.json")
-    again = algorithm1(reloaded)
-    print(f"replayed instance 0: same solution = "
-          f"{again.solution == algorithm1(random_ding_augmentation(4, 3, 0)).solution}")
+    # Round-trip check: replay one stored instance against its stored result.
+    again = algorithm1(load_graph(out_dir / "instance_0.json"))
+    stored = from_dict(AlgorithmResult, load_rows(out_dir / "result_0.json")[0])
+    print(f"replayed instance 0: same solution = {again.solution == stored.solution}")
 
 
 if __name__ == "__main__":

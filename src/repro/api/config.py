@@ -7,7 +7,7 @@ execution mode, validation level, exact-solver backend); a
 wall time, validity, and the measured approximation ratio).  Both are
 plain picklable dataclasses so :func:`repro.api.solve_many` can ship
 them across process boundaries, and both round-trip through JSON via
-:func:`repro.io.run_report_to_dict` / :func:`repro.io.run_report_from_dict`.
+:func:`repro.io.to_dict` / :func:`repro.io.from_dict`.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from typing import Mapping
 
 from repro.core.radii import RadiusPolicy
 from repro.core.results import AlgorithmResult
+from repro.io import from_dict
 
 MODES = ("fast", "simulate")
 VALIDATION_LEVELS = ("none", "valid", "ratio")
@@ -86,7 +87,7 @@ class RunReport:
 
     algorithm: str
     problem: str
-    instance: dict = field(default_factory=dict)
+    instance: dict = field(default_factory=dict, metadata={"jsonable": True})
     result: AlgorithmResult | None = None
     config: RunConfig = field(default_factory=RunConfig)
     wall_time: float = 0.0
@@ -107,31 +108,21 @@ class RunReport:
         return self.result.solution if self.result is not None else set()
 
 
-def run_config_from_options(
-    *,
-    simulate: bool = False,
-    validate: str = "ratio",
-    solver: str = "milp",
-    opt_cache: bool = True,
-    seed: int = 0,
-    policy: "RadiusPolicy | None" = None,
-) -> RunConfig:
-    """Build a :class:`RunConfig` from front-door options.
+def run_config_from_options(*, simulate: bool = False, **options: object) -> RunConfig:
+    """Build a :class:`RunConfig` from flat front-door options.
 
     The single construction point shared by the CLI (``repro run`` /
     ``compare`` flags) and the serve request parser
     (:mod:`repro.serve.schema`), so the two entry points cannot drift:
-    ``simulate`` maps to the execution mode, everything else passes
-    through with the front doors' ``validate="ratio"`` default.
+    ``simulate`` maps to the execution mode, and ``options`` are the
+    other :class:`RunConfig` fields with the front doors'
+    ``validate="ratio"`` default.  Values are type-checked by
+    :func:`repro.io.from_dict`; anything ill-typed raises ``ValueError``.
     """
-    return RunConfig(
-        policy=policy,
-        mode="simulate" if simulate else "fast",
-        validate=validate,
-        solver=solver,
-        opt_cache=opt_cache,
-        seed=seed,
-    )
+    if not isinstance(simulate, bool):
+        raise ValueError(f"'simulate' must be a boolean, got {simulate!r}")
+    mode = "simulate" if simulate else "fast"
+    return from_dict(RunConfig, {"validate": "ratio", **options, "mode": mode})
 
 
 def _vertex_label(label: str):

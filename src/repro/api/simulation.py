@@ -6,8 +6,8 @@ message-passing protocol (round model, CONGEST budget, round limit,
 trace policy, RNG seed, fault plan, identifier scheme); a
 :class:`SimReport` says *what happened* (per-vertex outputs, round and
 message totals, drops, crashes).  Both are plain picklable dataclasses,
-round-trip through JSON via :func:`repro.io.sim_report_to_dict` /
-:func:`repro.io.sim_report_from_dict`, and :func:`simulate_many` fans
+round-trip through JSON via :func:`repro.io.to_dict` /
+:func:`repro.io.from_dict`, and :func:`simulate_many` fans
 ``instances × specs`` out over the same process-parallel,
 order-deterministic machinery as :func:`repro.api.solve_many`.
 
@@ -26,7 +26,13 @@ from typing import Hashable, Iterable, Sequence
 import networkx as nx
 
 import repro.api.algorithms  # noqa: F401  (populates the registry)
-from repro.api.config import instance_meta, measured_ratio
+from repro.api.config import (
+    instance_meta,
+    measured_ratio,
+    parse_byzantine,
+    parse_churn,
+    parse_faults,
+)
 from repro.api.registry import AlgorithmSpec, get_algorithm
 from repro.api.runner import _normalise_instances
 from repro.local_model.adversary import (
@@ -50,55 +56,95 @@ Vertex = Hashable
 
 ID_SCHEMES = ("identity", "shuffled", "spread")
 
+#: Field metadata of a default-skipping field (see :mod:`repro.io`).
+_OMIT = {"omit": True}
+
 
 @dataclass(frozen=True)
 class SimulationSpec:
     """How to execute one algorithm on the simulation engine.
 
-    * ``algorithm`` — a registered algorithm with a message-passing
-      protocol (see ``repro algorithms``; the registry rejects the
-      rest);
-    * ``model`` — ``"local"`` (unbounded messages) or ``"congest"``
-      (each message capped at ``budget`` identifier units);
-    * ``budget`` — the CONGEST cap in identifier units per message
-      (ignored under ``model="local"``);
-    * ``max_rounds`` — the round limit; exceeding it raises instead of
-      hanging;
-    * ``trace`` — ``"full"`` (per-round stats), ``"stats"`` (aggregate
-      totals only), or ``"off"`` (message count only, no payload
-      sizing), so large sweeps need not hold per-round traces in
-      memory;
-    * ``seed`` — drives the fault RNG and the ``"shuffled"`` identifier
-      scheme; recorded for provenance;
-    * ``faults`` — optional :class:`~repro.local_model.engine.FaultPlan`
-      (message drop probability, crashed nodes, scheduled crashes);
-    * ``ids`` — identifier assignment scheme: ``"identity"``,
-      ``"shuffled"`` (seeded by ``seed``), or ``"spread"``;
-    * ``churn`` — optional
-      :class:`~repro.local_model.adversary.ChurnPlan`: the topology
-      changes between rounds (the input graph is copied, never
-      mutated);
-    * ``byzantine`` — optional
-      :class:`~repro.local_model.adversary.ByzantinePlan`: which nodes
-      misbehave, and how;
-    * ``delay`` — per-message delay bound for the ``"async"`` and
-      ``"adversarial"`` models (ignored by LOCAL/CONGEST).
+    ``algorithm`` names a registered algorithm with a message-passing
+    protocol (see ``repro algorithms``; the registry rejects the rest).
+    The other fields' ``help`` metadata documents them and doubles as
+    the ``repro simulate`` flag text.  Beyond that:
+
+    * ``budget`` is ignored under LOCAL, ``delay`` under LOCAL/CONGEST;
+    * ``max_rounds`` — exceeding it raises instead of hanging;
+    * ``trace="off"`` counts messages but skips payload sizing, so
+      large sweeps need not hold per-round traces in memory;
+    * ``seed`` — drives the fault RNG, the ``"shuffled"`` identifier
+      scheme and the random churn process; recorded for provenance;
+    * ``churn`` changes the topology between rounds on a copy of the
+      input graph, never mutating it.
 
     Leaving ``churn``/``byzantine`` unset (or trivial) and the model at
     LOCAL/CONGEST reproduces pre-adversarial reports byte-identically.
     """
 
     algorithm: str
-    model: str = "local"
-    budget: int = 4
+    model: str = field(
+        default="local",
+        metadata={
+            "choices": MODELS,
+            "help": "round model: LOCAL (unbounded), CONGEST (budgeted messages), "
+            "async (seeded delivery delays), or adversarial (worst-case "
+            "delays and reordering)",
+        },
+    )
+    budget: int = field(
+        default=4, metadata={"help": "CONGEST cap in identifier units per message"}
+    )
     max_rounds: int = 10_000
-    trace: str = "stats"
+    trace: str = field(
+        default="stats",
+        metadata={
+            "choices": TRACE_POLICIES,
+            "help": "full per-round stats, aggregate totals, or no accounting",
+        },
+    )
     seed: int = 0
-    faults: FaultPlan | None = None
-    ids: str = "identity"
-    churn: ChurnPlan | None = None
-    byzantine: ByzantinePlan | None = None
-    delay: int = 2
+    faults: FaultPlan | None = field(
+        default=None,
+        metadata={
+            "grammar": parse_faults,
+            "metavar": "PLAN",
+            "help": "fault plan, e.g. 'drop=0.2', 'drop=0.1,crash=0+4', or "
+            "round-scoped 'crash=4@3' (vertex 4 crashes at round 3)",
+        },
+    )
+    ids: str = field(
+        default="identity",
+        metadata={"choices": ID_SCHEMES, "help": "identifier assignment scheme"},
+    )
+    churn: ChurnPlan | None = field(
+        default=None,
+        metadata={
+            "omit": True,
+            "grammar": parse_churn,
+            "metavar": "PLAN",
+            "help": "churn plan: 'rate=<p>,until=<r>' for seeded random edge "
+            "flips and/or events 'add:u-v@r', 'del:u-v@r', 'join:v[-anchor]@r', "
+            "'leave:v@r'",
+        },
+    )
+    byzantine: ByzantinePlan | None = field(
+        default=None,
+        metadata={
+            "omit": True,
+            "grammar": parse_byzantine,
+            "metavar": "PLAN",
+            "help": "byzantine plan: '<behavior>=<v>+<v>' parts, behaviors "
+            "silent/babble/equivocate/lie, e.g. 'babble=0+3,lie=7'",
+        },
+    )
+    delay: int = field(
+        default=2,
+        metadata={
+            "omit": True,
+            "help": "per-message delay bound for --model async/adversarial",
+        },
+    )
 
     def __post_init__(self) -> None:
         if self.model not in MODELS:
@@ -144,9 +190,11 @@ class SimReport:
     algorithm: str
     problem: str
     model: str
-    instance: dict = field(default_factory=dict)
+    instance: dict = field(default_factory=dict, metadata={"jsonable": True})
     spec: SimulationSpec | None = None
-    outputs: dict = field(default_factory=dict)
+    outputs: dict[Vertex, object] = field(
+        default_factory=dict, metadata={"pairs": True, "jsonable": True}
+    )
     rounds: int = 0
     total_messages: int = 0
     total_payload: int | None = 0
@@ -155,20 +203,22 @@ class SimReport:
     swallowed_messages: int = 0
     """Messages addressed to crashed nodes, or caught queued in a node
     by a scheduled crash (never delivered)."""
-    crashed: tuple = ()
+    crashed: tuple[Vertex, ...] = field(default=(), metadata={"sort": repr})
     round_stats: list[RoundStats] | None = None
-    delayed_messages: int = 0
+    delayed_messages: int = field(default=0, metadata=_OMIT)
     """Messages the async/adversarial scheduler held >= 1 round."""
-    churn_events: int = 0
+    churn_events: int = field(default=0, metadata=_OMIT)
     """Topology-change events applied during the run."""
-    churn_lost_messages: int = 0
+    churn_lost_messages: int = field(default=0, metadata=_OMIT)
     """In-flight messages invalidated by churn."""
-    suspicion: dict = field(default_factory=dict)
+    suspicion: dict[Vertex, dict] = field(
+        default_factory=dict, metadata={"omit": True, "pairs": True}
+    )
     """Per-Byzantine-vertex accountability tallies
     (``behavior``/``deviations``/``detections``)."""
-    failed: tuple = ()
+    failed: tuple[Vertex, ...] = field(default=(), metadata={"omit": True, "sort": repr})
     """Vertices whose protocol raised under adversarial conditions."""
-    timed_out: bool = False
+    timed_out: bool = field(default=False, metadata=_OMIT)
     """An adversarial run hit ``max_rounds`` before honest nodes halted
     (non-termination under attack is a result, not an error)."""
 

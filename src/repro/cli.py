@@ -26,6 +26,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -43,17 +44,18 @@ from repro.api import (
     solve,
     solve_many,
 )
-from repro.api.config import (
-    SOLVER_BACKENDS,
-    parse_byzantine,
-    parse_churn,
-    parse_faults,
-    run_config_from_options,
-)
-from repro.api.simulation import ID_SCHEMES
+from repro.api.config import SOLVER_BACKENDS, run_config_from_options
 from repro.graphs.families import FAMILIES, get_family
-from repro.io import run_report_to_dict, sim_report_to_dict
-from repro.local_model.engine import MODELS, TRACE_POLICIES, MessageTooLargeError
+from repro.io import from_dict, run_report_to_dict, sim_report_to_dict
+from repro.local_model.engine import MessageTooLargeError
+
+
+#: The :class:`SimulationSpec` fields `repro simulate` exposes as flags,
+#: in ``--help`` order; defaults, choices and help come from the fields.
+SPEC_FLAGS = (
+    "model", "budget", "delay", "max_rounds", "trace", "ids",
+    "faults", "churn", "byzantine",
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -108,45 +110,17 @@ def _build_parser() -> argparse.ArgumentParser:
         "--algorithm", required=True, choices=engine_algorithm_names(),
         help="engine-capable algorithms only (see `repro algorithms`)",
     )
-    simulate_p.add_argument(
-        "--model", default="local", choices=list(MODELS),
-        help="round model: LOCAL (unbounded), CONGEST (budgeted messages), "
-        "async (seeded delivery delays), or adversarial (worst-case "
-        "delays and reordering)",
-    )
-    simulate_p.add_argument(
-        "--budget", type=int, default=4,
-        help="CONGEST cap in identifier units per message",
-    )
-    simulate_p.add_argument(
-        "--delay", type=int, default=2,
-        help="per-message delay bound for --model async/adversarial",
-    )
-    simulate_p.add_argument("--max-rounds", type=int, default=10_000)
-    simulate_p.add_argument(
-        "--trace", default="stats", choices=list(TRACE_POLICIES),
-        help="full per-round stats, aggregate totals, or no accounting",
-    )
-    simulate_p.add_argument(
-        "--ids", default="identity", choices=list(ID_SCHEMES),
-        help="identifier assignment scheme",
-    )
-    simulate_p.add_argument(
-        "--faults", default=None, metavar="PLAN",
-        help="fault plan, e.g. 'drop=0.2', 'drop=0.1,crash=0+4', or "
-        "round-scoped 'crash=4@3' (vertex 4 crashes at round 3)",
-    )
-    simulate_p.add_argument(
-        "--churn", default=None, metavar="PLAN",
-        help="churn plan: 'rate=<p>,until=<r>' for seeded random edge "
-        "flips and/or events 'add:u-v@r', 'del:u-v@r', 'join:v[-anchor]@r', "
-        "'leave:v@r'",
-    )
-    simulate_p.add_argument(
-        "--byzantine", default=None, metavar="PLAN",
-        help="byzantine plan: '<behavior>=<v>+<v>' parts, behaviors "
-        "silent/babble/equivocate/lie, e.g. 'babble=0+3,lie=7'",
-    )
+    spec_fields = {f.name: f for f in dataclasses.fields(SimulationSpec)}
+    for name in SPEC_FLAGS:
+        spec_field = spec_fields[name]
+        simulate_p.add_argument(
+            "--" + name.replace("_", "-"),
+            type=int if isinstance(spec_field.default, int) else None,
+            default=spec_field.default,
+            choices=spec_field.metadata.get("choices"),
+            metavar=spec_field.metadata.get("metavar"),
+            help=spec_field.metadata.get("help"),
+        )
     simulate_p.add_argument(
         "--json", action="store_true", help="emit the SimReport as JSON"
     )
@@ -354,19 +328,13 @@ def _display_sorted(vertices) -> list:
 def _cmd_simulate(args) -> int:
     graph, meta = _instance(args)
     try:
-        faults = parse_faults(args.faults)
-        spec = SimulationSpec(
-            algorithm=args.algorithm,
-            model=args.model,
-            budget=args.budget,
-            max_rounds=args.max_rounds,
-            trace=args.trace,
-            seed=args.seed,
-            faults=faults,
-            ids=args.ids,
-            churn=parse_churn(args.churn),
-            byzantine=parse_byzantine(args.byzantine),
-            delay=args.delay,
+        spec = from_dict(
+            SimulationSpec,
+            {
+                "algorithm": args.algorithm,
+                "seed": args.seed,
+                **{name: getattr(args, name) for name in SPEC_FLAGS},
+            },
         )
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)

@@ -19,11 +19,11 @@ class AlgorithmResult:
     """
 
     name: str
-    solution: set[Vertex]
+    solution: set[Vertex] = field(metadata={"sort": repr})
     rounds: int
-    phases: dict[str, set[Vertex]] = field(default_factory=dict)
+    phases: dict[str, set[Vertex]] = field(default_factory=dict, metadata={"sort": repr})
     round_breakdown: dict[str, int] = field(default_factory=dict)
-    metadata: dict[str, object] = field(default_factory=dict)
+    metadata: dict[str, object] = field(default_factory=dict, metadata={"jsonable": True})
 
     @property
     def size(self) -> int:

@@ -1,37 +1,56 @@
 """Instance and result persistence (JSON, no external deps).
 
 Experiments should be replayable from artifacts: this module serialises
-graphs, algorithm results, and sweep tables to a stable JSON layout.
+graphs, specs, reports, and sweep tables to a stable JSON layout.
 
 * graphs — ``{"nodes": [...], "edges": [[u, v], ...], "meta": {...}}``
-  with sorted nodes/edges so files are diff-able;
-* results — name/solution/rounds/phases/metadata;
-* run reports — the :class:`repro.api.RunReport` records produced by
-  :func:`repro.api.solve`, via :func:`run_report_to_dict` /
-  :func:`run_report_from_dict` (and file-level :func:`save_run_reports`
-  / :func:`load_run_reports`);
-* simulation reports — the :class:`repro.api.SimReport` records
-  produced by :func:`repro.api.simulate`, via
-  :func:`sim_report_to_dict` / :func:`sim_report_from_dict` (and
-  file-level :func:`save_sim_reports` / :func:`load_sim_reports`);
-  serialisation is fully deterministic (sorted sets, no wall-clock
-  fields), so parallel sweeps dump byte-identically to serial ones;
+  with sorted nodes/edges so files are diff-able (hand-written, like
+  the base64 :class:`~repro.graphs.kernel.KernelWire` codec);
+* specs, plans and reports — one codec, :func:`to_dict` /
+  :func:`from_dict`, for every dataclass the front doors exchange:
+  ``RunConfig``, ``SimulationSpec``, ``FaultPlan``, ``ChurnPlan``,
+  ``ByzantinePlan``, ``AlgorithmResult``, ``RunReport`` and
+  ``SimReport``.  It reads the dataclass declarations: keys follow the
+  field order, and per-field quirks are declared once as
+  ``field(metadata=...)`` (see the codec section below).  File-level
+  helpers: :func:`save_run_reports` / :func:`load_run_reports` and
+  :func:`save_sim_reports` / :func:`load_sim_reports`;
+  :func:`run_report_to_dict` / :func:`sim_report_to_dict` are the
+  report encoders' named entry points;
 * corpora — a directory of instances addressed by family/size/seed,
   written by :func:`write_corpus` and reloaded by :func:`read_corpus`.
+
+Serialisation is fully deterministic (repr-sorted sets and vertex
+tuples, no wall-clock fields outside ``RunReport.wall_time``), so
+parallel sweeps dump byte-identically to serial ones.  Default-skipping
+fields are left out when they hold their default, so a run without
+adversarial features keeps its pre-adversarial bytes:
+``SimulationSpec.delay`` (when 2), ``churn``/``byzantine`` (when unset
+or trivial — a trivial plan therefore decodes as ``None``),
+``FaultPlan.crash_schedule`` (when empty), and ``SimReport``'s
+adversarial tallies (``delayed_messages``, ``churn_events``,
+``churn_lost_messages``, ``suspicion``, ``failed``, ``timed_out``).
+
+Decoding is strict, because the same decoder reads the serve wire:
+missing keys take the dataclass default, unknown keys are rejected,
+and every value is type-checked against its field's hint.
 """
 
 from __future__ import annotations
 
 import base64
+import dataclasses
+import functools
 import json
 import os
 import tempfile
+import types
+import typing
+from collections.abc import Callable, Hashable, Iterable, Mapping
 from pathlib import Path
-from typing import Iterable
+from typing import NamedTuple
 
 import networkx as nx
-
-from repro.core.results import AlgorithmResult
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
@@ -142,305 +161,56 @@ def kernel_wire_from_dict(data: dict) -> "KernelWire":
     )
 
 
-def result_to_dict(result: AlgorithmResult) -> dict:
-    """JSON-ready dict for an algorithm result."""
-    return {
-        "name": result.name,
-        "solution": sorted(result.solution, key=repr),
-        "rounds": result.rounds,
-        "phases": {k: sorted(v, key=repr) for k, v in result.phases.items()},
-        "round_breakdown": dict(result.round_breakdown),
-        "metadata": {k: v for k, v in result.metadata.items() if _jsonable(v)},
-    }
+# -- the spec/report codec ----------------------------------------------------
+#
+# Driven by ``dataclasses.fields`` and the resolved type hints.  The
+# ``field(metadata=...)`` keys it reads:
+#
+# * ``"omit"`` — default-skipping: the key is left out when the value
+#   equals the field default or is a trivial plan (``.is_trivial``);
+# * ``"sort"`` — key function ordering a set/tuple (or a dict's set
+#   values) before encoding, e.g. ``repr``;
+# * ``"pairs"`` — a dict travels as ``[[key, value], ...]`` sorted by
+#   ``repr(key)`` (JSON objects only carry string keys);
+# * ``"jsonable"`` — dict entries whose value JSON cannot encode are
+#   dropped;
+# * ``"rows"`` — nested dataclasses travel as value rows in field order;
+# * ``"grammar"`` — a text parser (``parse_faults`` & co.) the decoder
+#   also accepts, so a plan field may be given as its CLI string.
 
 
-def result_from_dict(data: dict) -> AlgorithmResult:
-    return AlgorithmResult(
-        name=data["name"],
-        solution=set(data["solution"]),
-        rounds=data["rounds"],
-        phases={k: set(v) for k, v in data.get("phases", {}).items()},
-        round_breakdown=dict(data.get("round_breakdown", {})),
-        metadata=dict(data.get("metadata", {})),
-    )
+class _Field(NamedTuple):
+    name: str
+    encode: Callable | None
+    """``None`` when the value is already JSON-ready."""
+    decode: Callable
+    default: object
+    required: bool
+    omit: bool
 
 
-def run_config_to_dict(config: "RunConfig") -> dict:
-    """JSON-ready dict for a :class:`repro.api.RunConfig`."""
-    policy = config.policy
-    return {
-        "policy": None
-        if policy is None
-        else {
-            "one_cut_radius": policy.one_cut_radius,
-            "two_cut_radius": policy.two_cut_radius,
-            "dimension": policy.dimension,
-            "label": policy.label,
-        },
-        "mode": config.mode,
-        "validate": config.validate,
-        "solver": config.solver,
-        "opt_cache": config.opt_cache,
-        "seed": config.seed,
-    }
+_VERTEX = (typing.Hashable, Hashable)
+_UNIONS = (types.UnionType, typing.Union)
 
 
-def run_config_from_dict(data: dict) -> "RunConfig":
-    """Inverse of :func:`run_config_to_dict`."""
-    from repro.api.config import RunConfig
-    from repro.core.radii import RadiusPolicy
-
-    policy = None
-    if data.get("policy") is not None:
-        policy = RadiusPolicy(**data["policy"])
-    return RunConfig(
-        policy=policy,
-        mode=data.get("mode", "fast"),
-        validate=data.get("validate", "valid"),
-        solver=data.get("solver", "milp"),
-        opt_cache=data.get("opt_cache", True),
-        seed=data.get("seed", 0),
-    )
+def _expect(value: object, kinds: type | tuple, what: str) -> object:
+    if not isinstance(value, kinds):
+        raise ValueError(f"expected {what}, got {value!r}")
+    return value
 
 
-def run_report_to_dict(report: "RunReport") -> dict:
-    """JSON-ready dict for a :class:`repro.api.RunReport`."""
-    return {
-        "algorithm": report.algorithm,
-        "problem": report.problem,
-        "instance": {k: v for k, v in report.instance.items() if _jsonable(v)},
-        "result": None if report.result is None else result_to_dict(report.result),
-        "config": run_config_to_dict(report.config),
-        "wall_time": report.wall_time,
-        "valid": report.valid,
-        "optimum_size": report.optimum_size,
-        "ratio": report.ratio,
-    }
+def _scalar_decoder(kind: type) -> Callable:
+    accepted = (int, float) if kind is float else kind
 
+    def decode(value: object) -> object:
+        # bool is an int subclass; only bool fields take it.
+        if not isinstance(value, accepted) or (
+            isinstance(value, bool) and kind is not bool
+        ):
+            raise ValueError(f"expected {kind.__name__}, got {value!r}")
+        return value
 
-def run_report_from_dict(data: dict) -> "RunReport":
-    """Inverse of :func:`run_report_to_dict`."""
-    from repro.api.config import RunReport
-
-    result = None
-    if data.get("result") is not None:
-        result = result_from_dict(data["result"])
-    return RunReport(
-        algorithm=data["algorithm"],
-        problem=data["problem"],
-        instance=dict(data.get("instance", {})),
-        result=result,
-        config=run_config_from_dict(data.get("config", {})),
-        wall_time=data.get("wall_time", 0.0),
-        valid=data.get("valid"),
-        optimum_size=data.get("optimum_size"),
-        ratio=data.get("ratio"),
-    )
-
-
-def fault_plan_to_dict(plan: "FaultPlan | None") -> dict | None:
-    """JSON-ready dict for a :class:`repro.api.FaultPlan` (or ``None``).
-
-    ``crash_schedule`` is emitted only when non-empty, so pre-existing
-    fault-plan JSON stays byte-identical.
-    """
-    if plan is None:
-        return None
-    data = {
-        "drop_probability": plan.drop_probability,
-        "crashed": sorted(plan.crashed, key=repr),
-    }
-    if plan.crash_schedule:
-        data["crash_schedule"] = sorted(
-            ([v, when] for v, when in plan.crash_schedule),
-            key=lambda entry: (entry[1], repr(entry[0])),
-        )
-    return data
-
-
-def fault_plan_from_dict(data: dict | None) -> "FaultPlan | None":
-    """Inverse of :func:`fault_plan_to_dict`."""
-    from repro.local_model.engine import FaultPlan
-
-    if data is None:
-        return None
-    return FaultPlan(
-        drop_probability=data.get("drop_probability", 0.0),
-        crashed=tuple(_vertex_from_json(v) for v in data.get("crashed", ())),
-        crash_schedule=tuple(
-            (_vertex_from_json(v), when)
-            for v, when in data.get("crash_schedule", ())
-        ),
-    )
-
-
-def churn_plan_to_dict(plan: "ChurnPlan | None") -> dict | None:
-    """JSON-ready dict for a :class:`~repro.local_model.adversary.ChurnPlan`.
-
-    Events travel as ``[round, kind, u, v]`` quadruples in plan order
-    (application order matters within a round).
-    """
-    if plan is None:
-        return None
-    return {
-        "events": [[e.round, e.kind, e.u, e.v] for e in plan.events],
-        "rate": plan.rate,
-        "until": plan.until,
-    }
-
-
-def churn_plan_from_dict(data: dict | None) -> "ChurnPlan | None":
-    """Inverse of :func:`churn_plan_to_dict`."""
-    from repro.local_model.adversary import ChurnEvent, ChurnPlan
-
-    if data is None:
-        return None
-    return ChurnPlan(
-        events=tuple(
-            ChurnEvent(
-                round=round_index,
-                kind=kind,
-                u=_vertex_from_json(u),
-                v=_vertex_from_json(v),
-            )
-            for round_index, kind, u, v in data.get("events", ())
-        ),
-        rate=data.get("rate", 0.0),
-        until=data.get("until", 0),
-    )
-
-
-def byzantine_plan_to_dict(plan: "ByzantinePlan | None") -> dict | None:
-    """JSON-ready dict for a
-    :class:`~repro.local_model.adversary.ByzantinePlan` (vertex-sorted
-    for deterministic bytes)."""
-    if plan is None:
-        return None
-    return {
-        "behaviors": [
-            [v, behavior]
-            for v, behavior in sorted(plan.behaviors, key=lambda p: repr(p[0]))
-        ]
-    }
-
-
-def byzantine_plan_from_dict(data: dict | None) -> "ByzantinePlan | None":
-    """Inverse of :func:`byzantine_plan_to_dict`."""
-    from repro.local_model.adversary import ByzantinePlan
-
-    if data is None:
-        return None
-    return ByzantinePlan(
-        behaviors=tuple(
-            (_vertex_from_json(v), behavior)
-            for v, behavior in data.get("behaviors", ())
-        )
-    )
-
-
-def sim_spec_to_dict(spec: "SimulationSpec") -> dict:
-    """JSON-ready dict for a :class:`repro.api.SimulationSpec`.
-
-    Adversarial fields are *default-skipping*: ``churn``/``byzantine``
-    appear only when set and non-trivial, ``delay`` only when it
-    differs from the default — so specs without adversarial features
-    serialise to exactly their pre-adversarial bytes (and a trivial
-    plan deliberately round-trips to ``None``).
-    """
-    data = {
-        "algorithm": spec.algorithm,
-        "model": spec.model,
-        "budget": spec.budget,
-        "max_rounds": spec.max_rounds,
-        "trace": spec.trace,
-        "seed": spec.seed,
-        "faults": fault_plan_to_dict(spec.faults),
-        "ids": spec.ids,
-    }
-    if spec.churn is not None and not spec.churn.is_trivial:
-        data["churn"] = churn_plan_to_dict(spec.churn)
-    if spec.byzantine is not None and not spec.byzantine.is_trivial:
-        data["byzantine"] = byzantine_plan_to_dict(spec.byzantine)
-    if spec.delay != 2:
-        data["delay"] = spec.delay
-    return data
-
-
-def sim_spec_from_dict(data: dict) -> "SimulationSpec":
-    """Inverse of :func:`sim_spec_to_dict`."""
-    from repro.api.simulation import SimulationSpec
-
-    return SimulationSpec(
-        algorithm=data["algorithm"],
-        model=data.get("model", "local"),
-        budget=data.get("budget", 4),
-        max_rounds=data.get("max_rounds", 10_000),
-        trace=data.get("trace", "stats"),
-        seed=data.get("seed", 0),
-        faults=fault_plan_from_dict(data.get("faults")),
-        ids=data.get("ids", "identity"),
-        churn=churn_plan_from_dict(data.get("churn")),
-        byzantine=byzantine_plan_from_dict(data.get("byzantine")),
-        delay=data.get("delay", 2),
-    )
-
-
-def sim_report_to_dict(report: "SimReport") -> dict:
-    """JSON-ready dict for a :class:`repro.api.SimReport`.
-
-    ``outputs`` is a vertex-sorted pair list (JSON objects cannot carry
-    non-string keys); non-JSON-able outputs are dropped, like result
-    metadata.  The layout contains no wall-clock data, so equal runs
-    serialise to equal bytes.  Adversarial tallies (delays, churn,
-    suspicion, failures, timeout) are default-skipping: a benign run's
-    JSON is byte-identical to the pre-adversarial layout.
-    """
-    data = {
-        "algorithm": report.algorithm,
-        "problem": report.problem,
-        "model": report.model,
-        "instance": {k: v for k, v in report.instance.items() if _jsonable(v)},
-        "spec": None if report.spec is None else sim_spec_to_dict(report.spec),
-        "outputs": [
-            [v, output]
-            for v, output in sorted(report.outputs.items(), key=lambda kv: repr(kv[0]))
-            if _jsonable(output)
-        ],
-        "rounds": report.rounds,
-        "total_messages": report.total_messages,
-        "total_payload": report.total_payload,
-        "dropped_messages": report.dropped_messages,
-        "swallowed_messages": report.swallowed_messages,
-        "crashed": sorted(report.crashed, key=repr),
-        "round_stats": None
-        if report.round_stats is None
-        else [
-            {
-                "round_index": s.round_index,
-                "messages": s.messages,
-                "payload_units": s.payload_units,
-            }
-            for s in report.round_stats
-        ],
-    }
-    if report.delayed_messages:
-        data["delayed_messages"] = report.delayed_messages
-    if report.churn_events:
-        data["churn_events"] = report.churn_events
-    if report.churn_lost_messages:
-        data["churn_lost_messages"] = report.churn_lost_messages
-    if report.suspicion:
-        data["suspicion"] = [
-            [v, tallies]
-            for v, tallies in sorted(
-                report.suspicion.items(), key=lambda kv: repr(kv[0])
-            )
-        ]
-    if report.failed:
-        data["failed"] = sorted(report.failed, key=repr)
-    if report.timed_out:
-        data["timed_out"] = True
-    return data
+    return decode
 
 
 def _vertex_from_json(value: object) -> object:
@@ -452,40 +222,206 @@ def _vertex_from_json(value: object) -> object:
     return value
 
 
-def sim_report_from_dict(data: dict) -> "SimReport":
-    """Inverse of :func:`sim_report_to_dict`."""
-    from repro.api.simulation import SimReport
-    from repro.local_model.instrumentation import RoundStats
+def _vertex(value: object) -> object:
+    vertex = _vertex_from_json(value)
+    try:
+        hash(vertex)  # repro: ignore[RPR003] hashability probe; the value is discarded
+    except TypeError:
+        raise ValueError(f"vertex labels must be hashable, got {value!r}") from None
+    return vertex
 
-    round_stats = None
-    if data.get("round_stats") is not None:
-        round_stats = [RoundStats(**s) for s in data["round_stats"]]
-    return SimReport(
-        algorithm=data["algorithm"],
-        problem=data["problem"],
-        model=data.get("model", "local"),
-        instance=dict(data.get("instance", {})),
-        spec=None if data.get("spec") is None else sim_spec_from_dict(data["spec"]),
-        outputs={
-            _vertex_from_json(v): output for v, output in data.get("outputs", [])
-        },
-        rounds=data.get("rounds", 0),
-        total_messages=data.get("total_messages", 0),
-        total_payload=data.get("total_payload", 0),
-        dropped_messages=data.get("dropped_messages", 0),
-        swallowed_messages=data.get("swallowed_messages", 0),
-        crashed=tuple(_vertex_from_json(v) for v in data.get("crashed", ())),
-        round_stats=round_stats,
-        delayed_messages=data.get("delayed_messages", 0),
-        churn_events=data.get("churn_events", 0),
-        churn_lost_messages=data.get("churn_lost_messages", 0),
-        suspicion={
-            _vertex_from_json(v): dict(tallies)
-            for v, tallies in data.get("suspicion", ())
-        },
-        failed=tuple(_vertex_from_json(v) for v in data.get("failed", ())),
-        timed_out=data.get("timed_out", False),
-    )
+
+def _encoder(hint: object, meta: Mapping) -> Callable | None:
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in _UNIONS:  # ``X | None``
+        inner = _encoder(next(a for a in args if a is not type(None)), meta)
+        if inner is None:
+            return None
+        return lambda v: None if v is None else inner(v)
+    if dataclasses.is_dataclass(hint):
+        return (lambda v: list(to_dict(v).values())) if meta.get("rows") else to_dict
+    if hint is dict or origin is dict:
+        value = _encoder(args[1], {"sort": meta.get("sort")}) if args else None
+        jsonable = meta.get("jsonable")
+
+        def items(d: dict) -> list:
+            return [
+                (k, v if value is None else value(v))
+                for k, v in d.items()
+                if not jsonable or _jsonable(v)
+            ]
+
+        if meta.get("pairs"):
+            return lambda d: [[k, v] for k, v in sorted(items(d), key=_key_repr)]
+        return lambda d: dict(items(d))
+    if origin in (tuple, list, set):
+        if origin is tuple and args[-1] is not Ellipsis:  # a fixed-shape row
+            return list
+        item = _encoder(args[0], {"rows": meta.get("rows")})
+        sort = meta.get("sort")
+        if item is None:
+            return list if sort is None else (lambda v: sorted(v, key=sort))
+        if sort is None:
+            return lambda v: [item(x) for x in v]
+        return lambda v: [item(x) for x in sorted(v, key=sort)]
+    return None
+
+
+def _key_repr(pair: tuple) -> str:
+    return repr(pair[0])
+
+
+def _same(value: object) -> object:
+    return value
+
+
+def _decoder(hint: object, meta: Mapping) -> Callable:
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in _UNIONS:  # ``X | None``
+        inner = _decoder(next(a for a in args if a is not type(None)), meta)
+        return lambda v: None if v is None else inner(v)
+    if hint in _VERTEX:
+        return _vertex
+    if hint is object:
+        return _same
+    if hint in (str, int, float, bool):
+        return _scalar_decoder(hint)
+    if dataclasses.is_dataclass(hint):
+        if meta.get("rows"):
+            return lambda v: _from_row(hint, v)
+        return lambda v: from_dict(hint, v)
+    if hint is dict or origin is dict:
+        key, value = (_decoder(args[0], {}), _decoder(args[1], {})) if args else (_same,) * 2
+        if meta.get("pairs"):
+            return lambda v: {
+                key(k): value(x)
+                for k, x in (
+                    _row(pair, 2) for pair in _expect(v, (list, tuple), "a pair list")
+                )
+            }
+        return lambda v: {
+            key(k): value(x) for k, x in _expect(v, dict, "an object").items()
+        }
+    if origin is tuple and args[-1] is not Ellipsis:  # a fixed-shape row
+        items = [_decoder(arg, {}) for arg in args]
+        return lambda v: tuple(
+            decode(x) for decode, x in zip(items, _row(v, len(items)))
+        )
+    if origin in (tuple, list, set):
+        item = _decoder(args[0], {"rows": meta.get("rows")})
+        return lambda v: origin(
+            item(x) for x in _expect(v, (list, tuple), "a list")
+        )
+    raise TypeError(f"no codec for type {hint!r}")
+
+
+def _row(value: object, length: int) -> tuple | list:
+    _expect(value, (list, tuple), f"a {length}-entry list")
+    if len(value) != length:
+        raise ValueError(f"expected a {length}-entry list, got {value!r}")
+    return value
+
+
+def _from_row(cls: type, row: object) -> object:
+    names = [field.name for field in _codec(cls)]
+    return from_dict(cls, dict(zip(names, _row(row, len(names)))))
+
+
+@functools.cache
+def _codec(cls: type) -> tuple[_Field, ...]:
+    """Per-field codecs of ``cls``; type hints are resolved once per class."""
+    hints = typing.get_type_hints(cls)
+    codec = []
+    for field in dataclasses.fields(cls):
+        meta = field.metadata
+        hint = hints[field.name]
+        decode = _decoder(hint, meta)
+        grammar = meta.get("grammar")
+        if grammar is not None:
+            decode = functools.partial(_parse_or_decode, grammar, decode)
+        required = (
+            field.default is dataclasses.MISSING
+            and field.default_factory is dataclasses.MISSING
+        )
+        default = (
+            field.default_factory()
+            if field.default_factory is not dataclasses.MISSING
+            else field.default
+        )
+        codec.append(
+            _Field(
+                field.name,
+                _encoder(hint, meta),
+                decode,
+                default,
+                required,
+                bool(meta.get("omit")),
+            )
+        )
+    return tuple(codec)
+
+
+def _parse_or_decode(grammar: Callable, decode: Callable, value: object) -> object:
+    return grammar(value) if isinstance(value, str) else decode(value)
+
+
+def to_dict(obj: object) -> dict:
+    """JSON-ready dict for a spec, plan or report dataclass.
+
+    Keys follow the field order; sets and vertex tuples are sorted as
+    their fields declare, so equal objects serialise to equal bytes.
+    """
+    data = {}
+    for name, encode, _, default, _, omit in _codec(type(obj)):
+        value = getattr(obj, name)
+        if omit and (value == default or getattr(value, "is_trivial", False)):
+            continue
+        data[name] = value if encode is None else encode(value)
+    return data
+
+
+def from_dict(cls: type, data: object) -> object:
+    """Inverse of :func:`to_dict`: build a ``cls`` from its JSON form.
+
+    Missing keys take the dataclass default; unknown keys are rejected;
+    every value is type-checked against its field's hint (``int``
+    rejects ``bool``, ``float`` accepts ``int``); vertex-typed values
+    re-tuple JSON lists.  Raises ``ValueError`` naming the offending
+    field.
+    """
+    _expect(data, dict, f"a {cls.__name__} object")
+    codec = _codec(cls)
+    unknown = data.keys() - {field.name for field in codec}
+    if unknown:
+        raise ValueError(
+            f"unknown {cls.__name__} field(s) {sorted(unknown, key=repr)}"
+        )
+    values = {}
+    for field in codec:
+        if field.name in data:
+            try:
+                values[field.name] = field.decode(data[field.name])
+            except ValueError as error:
+                raise ValueError(f"{field.name}: {error}") from None
+        elif field.required:
+            raise ValueError(f"{cls.__name__} needs {field.name!r}")
+    return cls(**values)
+
+
+def run_report_to_dict(report: "RunReport") -> dict:
+    """JSON-ready dict for a :class:`repro.api.RunReport`."""
+    return to_dict(report)
+
+
+def sim_report_to_dict(report: "SimReport") -> dict:
+    """JSON-ready dict for a :class:`repro.api.SimReport`.
+
+    ``outputs`` is a vertex-sorted pair list (JSON objects cannot carry
+    non-string keys); non-JSON-able outputs are dropped, like result
+    metadata.  The layout contains no wall-clock data, so equal runs
+    serialise to equal bytes.
+    """
+    return to_dict(report)
 
 
 def save_sim_reports(reports: "Iterable[SimReport]", path: str | Path) -> None:
@@ -496,7 +432,9 @@ def save_sim_reports(reports: "Iterable[SimReport]", path: str | Path) -> None:
 
 def load_sim_reports(path: str | Path) -> "list[SimReport]":
     """Inverse of :func:`save_sim_reports`."""
-    return [sim_report_from_dict(d) for d in json.loads(Path(path).read_text())]
+    from repro.api.simulation import SimReport
+
+    return [from_dict(SimReport, d) for d in json.loads(Path(path).read_text())]
 
 
 def save_run_reports(reports: "Iterable[RunReport]", path: str | Path) -> None:
@@ -507,7 +445,9 @@ def save_run_reports(reports: "Iterable[RunReport]", path: str | Path) -> None:
 
 def load_run_reports(path: str | Path) -> "list[RunReport]":
     """Inverse of :func:`save_run_reports`."""
-    return [run_report_from_dict(d) for d in json.loads(Path(path).read_text())]
+    from repro.api.config import RunReport
+
+    return [from_dict(RunReport, d) for d in json.loads(Path(path).read_text())]
 
 
 def counted_payload(key: str, items: list, **extra: object) -> dict:

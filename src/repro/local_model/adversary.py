@@ -36,7 +36,7 @@ adversarial runs reproduce exactly — including across worker processes
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Hashable
 
 import networkx as nx
@@ -100,7 +100,7 @@ class ChurnPlan:
     requires explicit events.
     """
 
-    events: tuple = ()
+    events: tuple[ChurnEvent, ...] = field(default=(), metadata={"rows": True})
     rate: float = 0.0
     until: int = 0
 
@@ -129,7 +129,9 @@ class ByzantinePlan:
     come from :data:`BYZANTINE_BEHAVIORS`.  A vertex may appear once.
     """
 
-    behaviors: tuple = ()
+    behaviors: tuple[tuple[Vertex, str], ...] = field(
+        default=(), metadata={"sort": lambda pair: repr(pair[0])}
+    )
 
     def __post_init__(self) -> None:
         pairs = tuple((v, b) for v, b in self.behaviors)

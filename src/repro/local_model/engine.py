@@ -192,8 +192,11 @@ class FaultPlan:
     """
 
     drop_probability: float = 0.0
-    crashed: tuple = ()
-    crash_schedule: tuple = ()
+    crashed: tuple[Vertex, ...] = field(default=(), metadata={"sort": repr})
+    crash_schedule: tuple[tuple[Vertex, int], ...] = field(
+        default=(),
+        metadata={"omit": True, "sort": lambda entry: (entry[1], repr(entry[0]))},
+    )
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.drop_probability <= 1.0:

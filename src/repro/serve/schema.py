@@ -1,12 +1,17 @@
 """Wire schema: parse a job-submission payload into an executable plan.
 
-The schema deliberately reuses the repo's existing JSON round-trips —
-``config`` is :func:`repro.io.run_config_from_dict`'s shape, simulate
-specs are :func:`repro.io.sim_spec_from_dict`'s shape, inline graphs
-are :func:`repro.io.graph_from_dict`'s shape — and the CLI's shared
-helpers (:func:`repro.api.config.run_config_from_options`,
-:func:`repro.api.config.parse_faults`), so the serve front door and the
-batch CLI accept the same vocabulary and cannot drift.
+The schema reuses the repo's one spec codec: ``config`` and simulate
+specs are decoded by :func:`repro.io.from_dict` (the
+:func:`repro.io.to_dict` shape of ``RunConfig``/``SimulationSpec``),
+flat solve options go through the CLI's
+:func:`repro.api.config.run_config_from_options`, and inline graphs
+are :func:`repro.io.graph_from_dict`'s shape — so the serve front door,
+the batch CLI and the sweep manifests accept the same vocabulary and
+cannot drift.  The decoder is strict: every value is type-checked
+against its dataclass field (``"seed": "abc"`` or ``"budget": true``
+is refused), unknown spec keys are rejected rather than ignored, and
+the plan fields ``faults``/``churn``/``byzantine`` take either their
+object form or the CLI's text grammar (``"drop=0.1,crash=0+4"``).
 
 A solve job::
 
@@ -35,13 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from repro.api.config import (
-    RunConfig,
-    parse_byzantine,
-    parse_churn,
-    parse_faults,
-    run_config_from_options,
-)
+from repro.api.config import RunConfig, run_config_from_options
 from repro.api.registry import (
     UnknownAlgorithmError,
     UnsupportedModeError,
@@ -50,14 +49,7 @@ from repro.api.registry import (
 from repro.api.simulation import SimulationSpec
 from repro.graphs.families import FAMILIES
 from repro.graphs.kernel import KernelWire, kernel_for
-from repro.io import (
-    byzantine_plan_to_dict,
-    churn_plan_to_dict,
-    fault_plan_to_dict,
-    graph_from_dict,
-    run_config_from_dict,
-    sim_spec_from_dict,
-)
+from repro.io import from_dict, graph_from_dict
 from repro.serve.instances import InstanceCache, wire_digest
 
 KINDS = ("solve", "simulate")
@@ -171,13 +163,15 @@ def _parse_instance(spec: object):
         raise SpecError(f"instance spec must be an object, got {spec!r}")
     if "family" in spec:
         family = spec["family"]
-        if family not in FAMILIES:
+        if not isinstance(family, str) or family not in FAMILIES:
             raise SpecError(
                 f"unknown family {family!r}; choose from {sorted(FAMILIES)}"
             )
         size = spec.get("size")
-        if isinstance(size, bool) or not isinstance(size, int):
-            raise SpecError(f"family instance needs an integer 'size', got {size!r}")
+        if isinstance(size, bool) or not isinstance(size, int) or size < 1:
+            raise SpecError(
+                f"family instance needs an integer 'size' >= 1, got {size!r}"
+            )
         seed = spec.get("seed", 0)
         if isinstance(seed, bool) or not isinstance(seed, int):
             raise SpecError(f"instance 'seed' must be an integer, got {seed!r}")
@@ -210,24 +204,18 @@ def _parse_algorithms(raw: object) -> tuple[str, ...]:
 
 
 def _parse_run_config(payload: dict) -> RunConfig:
-    """``config`` in the io.py round-trip shape, or flat CLI options.
+    """``config`` in the :func:`repro.io.to_dict` shape, or flat CLI options.
 
     The flat form mirrors `repro run`/`compare`: ``simulate`` flips the
     mode, and ``validate`` defaults to ``"ratio"`` like the CLI front
-    doors (the dict form keeps the round-trip's ``"valid"`` default).
+    doors (the dict form keeps the dataclass's ``"valid"`` default).
+    Both forms go through the typed decoder.
     """
     raw = payload.get("config")
-    try:
-        if raw is not None:
-            if not isinstance(raw, dict):
-                raise SpecError(f"'config' must be an object, got {raw!r}")
-            return run_config_from_dict(raw)
-        options = {
-            key: payload[key] for key in FLAT_CONFIG_FIELDS if key in payload
-        }
-        return run_config_from_options(**options)
-    except (TypeError, ValueError) as error:
-        raise SpecError(f"invalid run config: {error}") from error
+    if raw is not None:
+        return _decoded("run config", lambda: from_dict(RunConfig, raw))
+    options = {key: payload[key] for key in FLAT_CONFIG_FIELDS if key in payload}
+    return _decoded("run config", lambda: run_config_from_options(**options))
 
 
 def _parse_sim_specs(raw: object) -> tuple[SimulationSpec, ...]:
@@ -235,38 +223,15 @@ def _parse_sim_specs(raw: object) -> tuple[SimulationSpec, ...]:
         raw = [raw]
     if not isinstance(raw, list) or not raw:
         raise SpecError("simulate jobs need 'specs': a non-empty list of spec objects")
-    return tuple(_parse_sim_spec(spec) for spec in raw)
+    return tuple(
+        _decoded("simulate spec", lambda s=spec: from_dict(SimulationSpec, s))
+        for spec in raw
+    )
 
 
-def _parse_sim_spec(spec: object) -> SimulationSpec:
-    if not isinstance(spec, dict) or "algorithm" not in spec:
-        raise SpecError(f"simulate spec must be an object with 'algorithm', got {spec!r}")
-    data = dict(spec)
-    faults = data.get("faults")
-    if isinstance(faults, str):
-        # The CLI's fault grammar, shared verbatim (satellite contract:
-        # one parser for --faults and the wire field).
-        try:
-            data["faults"] = fault_plan_to_dict(parse_faults(faults))
-        except ValueError as error:
-            raise SpecError(f"invalid fault plan {faults!r}: {error}") from error
-    churn = data.get("churn")
-    if isinstance(churn, str):
-        try:
-            plan = parse_churn(churn)
-            data["churn"] = None if plan is None else churn_plan_to_dict(plan)
-        except ValueError as error:
-            raise SpecError(f"invalid churn plan {churn!r}: {error}") from error
-    byzantine = data.get("byzantine")
-    if isinstance(byzantine, str):
-        try:
-            plan = parse_byzantine(byzantine)
-            data["byzantine"] = None if plan is None else byzantine_plan_to_dict(plan)
-        except ValueError as error:
-            raise SpecError(
-                f"invalid byzantine plan {byzantine!r}: {error}"
-            ) from error
+def _decoded(what: str, decode):
+    """Run a typed decode; its ``ValueError``/``TypeError`` become a 400."""
     try:
-        return sim_spec_from_dict(data)
-    except (KeyError, TypeError, ValueError) as error:
-        raise SpecError(f"invalid simulate spec: {error}") from error
+        return decode()
+    except (TypeError, ValueError) as error:
+        raise SpecError(f"invalid {what}: {error}") from error

@@ -16,8 +16,8 @@ re-execute any shard from a cold start:
   embedded, never referenced, so resume works even if the generating
   code changed or the instance came from a mutated graph;
 * the :class:`~repro.api.RunConfig` (solve) or the
-  :class:`~repro.api.SimulationSpec` list (simulate) in their existing
-  JSON round-trip shapes;
+  :class:`~repro.api.SimulationSpec` list (simulate) in their
+  :func:`repro.io.to_dict` shapes;
 * one **spec digest** per shard, hashing the shard's instance digests +
   algorithm list/specs + config.  A checkpoint that does not carry the
   matching digest is not a completion of this shard (schema drift,
@@ -40,12 +40,10 @@ from repro.api.runner import _normalise_instances
 from repro.api.simulation import SimulationSpec, _as_spec
 from repro.graphs.kernel import kernel_for, wire_digest
 from repro.io import (
+    from_dict,
     kernel_wire_from_dict,
     kernel_wire_to_dict,
-    run_config_from_dict,
-    run_config_to_dict,
-    sim_spec_from_dict,
-    sim_spec_to_dict,
+    to_dict,
     write_json_atomic,
 )
 
@@ -137,9 +135,9 @@ class SweepManifest:
         }
         if self.kind == "solve":
             data["algorithms"] = list(self.algorithms)
-            data["config"] = run_config_to_dict(self.config or RunConfig())
+            data["config"] = to_dict(self.config or RunConfig())
         else:
-            data["specs"] = [sim_spec_to_dict(spec) for spec in self.specs]
+            data["specs"] = [to_dict(spec) for spec in self.specs]
         return data
 
     def write(self, run_dir: str | Path) -> Path:
@@ -221,7 +219,7 @@ def plan_sweep(
         config = config or RunConfig()
         payload = {
             "algorithms": list(algorithm_list),
-            "config": run_config_to_dict(config),
+            "config": to_dict(config),
         }
         spec_list: tuple[SimulationSpec, ...] = ()
     else:
@@ -233,7 +231,7 @@ def plan_sweep(
             raise ValueError("cannot plan a simulate sweep with no specs")
         algorithm_list = ()
         config = None
-        payload = {"specs": [sim_spec_to_dict(spec) for spec in spec_list]}
+        payload = {"specs": [to_dict(spec) for spec in spec_list]}
 
     shards = []
     for start in range(0, len(refs), shard_size):
@@ -291,12 +289,12 @@ def load_manifest(run_dir: str | Path) -> SweepManifest:
             kind=kind,
             shards=shards,
             algorithms=tuple(data.get("algorithms", ())),
-            config=run_config_from_dict(data.get("config", {})),
+            config=from_dict(RunConfig, data.get("config", {})),
             seed=data.get("seed", 0),
         )
     return SweepManifest(
         kind=kind,
         shards=shards,
-        specs=tuple(sim_spec_from_dict(s) for s in data.get("specs", ())),
+        specs=tuple(from_dict(SimulationSpec, s) for s in data.get("specs", ())),
         seed=data.get("seed", 0),
     )

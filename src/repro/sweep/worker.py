@@ -16,14 +16,14 @@ and the retry provably regenerates it byte-identically.
 
 from __future__ import annotations
 
+from repro.api.config import RunConfig
 from repro.api.runner import solve
-from repro.api.simulation import simulate
+from repro.api.simulation import SimulationSpec, simulate
 from repro.io import (
+    from_dict,
     kernel_wire_from_dict,
-    run_config_from_dict,
     run_report_to_dict,
     sim_report_to_dict,
-    sim_spec_from_dict,
 )
 from repro.sweep.faultinject import FaultInjector, FaultSpec
 
@@ -62,12 +62,12 @@ def execute_shard(task: dict) -> tuple[str, list[dict]]:
     )
 
     if task["kind"] == "solve":
-        config = run_config_from_dict(task["config"])
+        config = from_dict(RunConfig, task["config"])
         units = [
             (entry, name) for entry in shard["instances"] for name in task["algorithms"]
         ]
     else:
-        specs = [sim_spec_from_dict(s) for s in task["specs"]]
+        specs = [from_dict(SimulationSpec, s) for s in task["specs"]]
         units = [(entry, spec) for entry in shard["instances"] for spec in specs]
 
     reports: list[dict] = []

@@ -2,27 +2,28 @@
 
 import json
 
-from repro.api import RunConfig, solve, solve_many
+import networkx as nx
+
+from repro.api import RunConfig, RunReport, solve, solve_many
 from repro.core.radii import RadiusPolicy
 from repro.graphs.families import get_family
 from repro.io import (
+    from_dict,
     load_run_reports,
-    run_config_from_dict,
-    run_config_to_dict,
-    run_report_from_dict,
     run_report_to_dict,
     save_run_reports,
+    to_dict,
 )
 
 
 def _roundtrip(report):
-    return run_report_from_dict(json.loads(json.dumps(run_report_to_dict(report))))
+    return from_dict(RunReport, json.loads(json.dumps(run_report_to_dict(report))))
 
 
 class TestConfigRoundtrip:
     def test_default_config(self):
         config = RunConfig()
-        assert run_config_from_dict(run_config_to_dict(config)) == config
+        assert from_dict(RunConfig, to_dict(config)) == config
 
     def test_config_with_policy(self):
         config = RunConfig(
@@ -32,7 +33,7 @@ class TestConfigRoundtrip:
             solver="bnb",
             seed=7,
         )
-        back = run_config_from_dict(json.loads(json.dumps(run_config_to_dict(config))))
+        back = from_dict(RunConfig, json.loads(json.dumps(to_dict(config))))
         assert back == config
         assert back.policy.label == config.policy.label
 
@@ -77,3 +78,16 @@ class TestReportRoundtrip:
         assert [r.solution for r in back] == [r.solution for r in reports]
         assert [r.instance for r in back] == [r.instance for r in reports]
         assert [r.ratio for r in back] == [r.ratio for r in reports]
+
+    def test_tuple_labelled_report_roundtrip(self, tmp_path):
+        # JSON has no tuples: grid-coordinate labels in the solution and
+        # phases must come back hashable (re-tupled), via dicts and files.
+        report = solve(nx.grid_2d_graph(3, 3), "d2", RunConfig(validate="ratio"))
+        back = _roundtrip(report)
+        assert back.solution == report.solution
+        assert all(isinstance(v, tuple) for v in back.solution)
+        assert back.result == report.result
+        path = tmp_path / "grid.json"
+        save_run_reports([report], path)
+        (loaded,) = load_run_reports(path)
+        assert loaded.solution == report.solution

@@ -8,6 +8,7 @@ import pytest
 from repro.analysis.domination import is_dominating_set
 from repro.api import (
     FaultPlan,
+    SimReport,
     SimulationSpec,
     UnknownAlgorithmError,
     UnsupportedModeError,
@@ -18,12 +19,11 @@ from repro.api import (
 )
 from repro.graphs import generators as gen
 from repro.io import (
+    from_dict,
     load_sim_reports,
     save_sim_reports,
-    sim_report_from_dict,
     sim_report_to_dict,
-    sim_spec_from_dict,
-    sim_spec_to_dict,
+    to_dict,
 )
 from repro.local_model.engine import MessageTooLargeError
 
@@ -65,7 +65,7 @@ class TestSimulate:
         assert report.chosen == set()
         assert report.instance == {"n": 0, "m": 0}
         # and it still round-trips
-        back = sim_report_from_dict(sim_report_to_dict(report))
+        back = from_dict(SimReport, sim_report_to_dict(report))
         assert sim_report_to_dict(back) == sim_report_to_dict(report)
 
     def test_congest_model_budget(self, star6):
@@ -119,7 +119,7 @@ class TestFaultRuns:
         assert report.swallowed_messages > 0
 
         payload = sim_report_to_dict(report)
-        back = sim_report_from_dict(json.loads(json.dumps(payload)))
+        back = from_dict(SimReport, json.loads(json.dumps(payload)))
         assert sim_report_to_dict(back) == payload
         assert back.spec == spec
         assert back.chosen == report.chosen
@@ -136,7 +136,7 @@ class TestFaultRuns:
             graph,
             SimulationSpec(algorithm="d2", faults=FaultPlan(crashed=((0, 0),))),
         )
-        back = sim_report_from_dict(json.loads(json.dumps(sim_report_to_dict(report))))
+        back = from_dict(SimReport, json.loads(json.dumps(sim_report_to_dict(report))))
         assert back.outputs == report.outputs
         assert back.crashed == ((0, 0),)
         assert back.chosen == report.chosen
@@ -153,7 +153,7 @@ class TestFaultRuns:
         payload = sim_report_to_dict(report)
         text = json.dumps(payload)
         assert '"total_payload": null' in text
-        back = sim_report_from_dict(json.loads(text))
+        back = from_dict(SimReport, json.loads(text))
         assert back.total_payload is None
         assert sim_report_to_dict(back) == payload
 
@@ -168,7 +168,7 @@ class TestFaultRuns:
             faults=FaultPlan(drop_probability=0.5, crashed=(1, 2)),
             ids="spread",
         )
-        assert sim_spec_from_dict(json.loads(json.dumps(sim_spec_to_dict(spec)))) == spec
+        assert from_dict(SimulationSpec, json.loads(json.dumps(to_dict(spec)))) == spec
 
 
 class TestSimulateMany:
@@ -227,13 +227,13 @@ class TestAdversarialSpecs:
 
     def test_adversarial_spec_roundtrip(self):
         spec = self._spec(model="async", delay=3)
-        back = sim_spec_from_dict(json.loads(json.dumps(sim_spec_to_dict(spec))))
+        back = from_dict(SimulationSpec, json.loads(json.dumps(to_dict(spec))))
         assert back == spec
 
     def test_adversarial_report_roundtrip(self):
         report = simulate(gen.fan(8), self._spec())
         payload = json.loads(json.dumps(sim_report_to_dict(report)))
-        back = sim_report_from_dict(payload)
+        back = from_dict(SimReport, payload)
         assert sim_report_to_dict(back) == sim_report_to_dict(report)
         assert back.suspicion == report.suspicion
         assert back.failed == report.failed
@@ -244,7 +244,7 @@ class TestAdversarialSpecs:
         spec = SimulationSpec(
             algorithm="d2", churn=ChurnPlan(), byzantine=ByzantinePlan()
         )
-        payload = sim_spec_to_dict(spec)
+        payload = to_dict(spec)
         assert "churn" not in payload
         assert "byzantine" not in payload
         assert "delay" not in payload

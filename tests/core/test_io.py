@@ -4,17 +4,18 @@ import networkx as nx
 import pytest
 
 from repro.core.algorithm1 import algorithm1
+from repro.core.results import AlgorithmResult
 from repro.graphs import generators as gen
 from repro.io import (
+    from_dict,
     graph_from_dict,
     graph_to_dict,
     load_graph,
     load_rows,
     read_corpus,
-    result_from_dict,
-    result_to_dict,
     save_graph,
     save_rows,
+    to_dict,
     write_corpus,
 )
 
@@ -46,7 +47,7 @@ class TestGraphRoundTrip:
 class TestResultRoundTrip:
     def test_algorithm_result(self, fan5):
         result = algorithm1(fan5)
-        restored = result_from_dict(result_to_dict(result))
+        restored = from_dict(AlgorithmResult, to_dict(result))
         assert restored.solution == result.solution
         assert restored.rounds == result.rounds
         assert restored.phases.keys() == result.phases.keys()
@@ -54,7 +55,7 @@ class TestResultRoundTrip:
     def test_unjsonable_metadata_dropped(self, fan5):
         result = algorithm1(fan5)
         result.metadata["weird"] = object()
-        data = result_to_dict(result)
+        data = to_dict(result)
         assert "weird" not in data["metadata"]
 
 

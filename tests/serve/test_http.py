@@ -184,6 +184,18 @@ class TestErrorMapping:
         assert status == 400
         assert "unknown family" in body["error"]
 
+    def test_ill_shaped_plan_is_400_not_a_dropped_connection(self, serve):
+        payload = {
+            "kind": "simulate",
+            "instances": [{"family": "tree", "size": 10}],
+            "specs": [{"algorithm": "d2", "faults": 5}],
+        }
+        status, _, body = serve.json("POST", "/jobs", payload)
+        assert status == 400
+        assert "faults" in body["error"]
+        _, _, stats = serve.json("GET", "/stats")
+        assert stats["jobs"]["submitted"] == 0
+
     def test_unknown_byzantine_behavior_is_400_before_queueing(self, serve):
         payload = {
             "kind": "simulate",

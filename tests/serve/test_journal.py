@@ -60,12 +60,21 @@ def test_unreadable_or_invalid_entries_are_quarantined(tmp_path):
     (journal / "j000002.json").write_text(
         json.dumps({"schema": 1, "id": "j000002", "payload": {"kind": "nope"}})
     )
+    ill_shaped = {
+        "kind": "simulate",
+        "instances": [{"family": "tree", "size": 10}],
+        "specs": [{"algorithm": "d2", "faults": 5}],
+    }
+    (journal / "j000003.json").write_text(
+        json.dumps({"schema": 1, "id": "j000003", "payload": ill_shaped})
+    )
     with ReproService(workers=0, journal_dir=str(journal)) as service:
         assert service.stats()["jobs"]["submitted"] == 0
     assert _journal_files(journal) == []
     assert sorted(p.name for p in journal.glob("*.rejected")) == [
         "j000001.rejected",
         "j000002.rejected",
+        "j000003.rejected",
     ]
 
 

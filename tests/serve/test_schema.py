@@ -12,12 +12,7 @@ from repro.api.config import (
     run_config_from_options,
 )
 from repro.graphs import generators as gen
-from repro.io import (
-    byzantine_plan_to_dict,
-    churn_plan_to_dict,
-    fault_plan_to_dict,
-    graph_to_dict,
-)
+from repro.io import graph_to_dict, to_dict
 from repro.serve.schema import (
     FamilyRef,
     SpecError,
@@ -66,9 +61,7 @@ class TestSolveParsing:
 
     def test_config_dict_roundtrip_shape(self):
         config = RunConfig(validate="ratio", solver="bnb", opt_cache=False)
-        from repro.io import run_config_to_dict
-
-        parsed = parse_job(_solve_payload(config=run_config_to_dict(config)))
+        parsed = parse_job(_solve_payload(config=to_dict(config)))
         assert parsed.config == config
 
     def test_task_count_is_instance_major(self):
@@ -129,7 +122,7 @@ class TestSimulateParsing:
                 specs=[
                     {
                         "algorithm": "d2",
-                        "faults": fault_plan_to_dict(parse_faults(text)),
+                        "faults": to_dict(parse_faults(text)),
                     }
                 ]
             )
@@ -154,7 +147,7 @@ class TestAdversarialParsing:
                 specs=[
                     {
                         "algorithm": "d2",
-                        "churn": churn_plan_to_dict(parse_churn(text)),
+                        "churn": to_dict(parse_churn(text)),
                     }
                 ]
             )
@@ -174,7 +167,7 @@ class TestAdversarialParsing:
                 specs=[
                     {
                         "algorithm": "d2",
-                        "byzantine": byzantine_plan_to_dict(parse_byzantine(text)),
+                        "byzantine": to_dict(parse_byzantine(text)),
                     }
                 ]
             )
@@ -235,6 +228,31 @@ class TestRejections:
             _simulate_payload(specs=[{"algorithm": "d2", "delay": -1}]),
             # `exact` ships no message-passing protocol for the engine.
             _simulate_payload(specs=[{"algorithm": "exact"}]),
+            # Ill-shaped plan and name values (no AttributeError/TypeError).
+            _simulate_payload(specs=[{"algorithm": "d2", "faults": 5}]),
+            _simulate_payload(specs=[{"algorithm": "d2", "faults": [1]}]),
+            _simulate_payload(specs=[{"algorithm": "d2", "churn": 7}]),
+            _simulate_payload(specs=[{"algorithm": "d2", "byzantine": ["x"]}]),
+            _simulate_payload(specs=[{"algorithm": ["d2"]}]),
+            _solve_payload(instances=[{"family": ["fan"], "size": 5}]),
+            # Ill-typed values are refused at submission, not mid-queue.
+            _solve_payload(seed="abc"),
+            _solve_payload(opt_cache="no"),
+            _solve_payload(algorithms=["algorithm1"], simulate="yes"),
+            _solve_payload(config={"seed": "abc"}),
+            _solve_payload(config={"validate": "ratio", "typo": 1}),
+            _solve_payload(instances=[{"family": "fan", "size": -3}]),
+            _solve_payload(instances=[{"family": "fan", "size": 0}]),
+            _simulate_payload(
+                specs=[{"algorithm": "d2", "faults": {"crashed": [{"a": 1}]}}]
+            ),
+            _simulate_payload(specs=[{"algorithm": "d2", "budget": True}]),
+            _simulate_payload(specs=[{"algorithm": "d2", "delay": 1.5}]),
+            _simulate_payload(specs=[{"algorithm": "d2", "seed": "abc"}]),
+            _simulate_payload(specs=[{"algorithm": "d2", "max_round": 5}]),
+            _simulate_payload(
+                specs=[{"algorithm": "d2", "churn": {"events": [[1, "join"]]}}]
+            ),
         ],
     )
     def test_spec_error(self, payload):
