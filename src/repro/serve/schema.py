@@ -212,10 +212,13 @@ def _parse_run_config(payload: dict) -> RunConfig:
     Both forms go through the typed decoder.
     """
     raw = payload.get("config")
-    if raw is not None:
-        return _decoded("run config", lambda: from_dict(RunConfig, raw))
-    options = {key: payload[key] for key in FLAT_CONFIG_FIELDS if key in payload}
-    return _decoded("run config", lambda: run_config_from_options(**options))
+    try:
+        if raw is not None:
+            return from_dict(RunConfig, raw)
+        options = {key: payload[key] for key in FLAT_CONFIG_FIELDS if key in payload}
+        return run_config_from_options(**options)
+    except (TypeError, ValueError) as error:
+        raise SpecError(f"invalid run config: {error}") from error
 
 
 def _parse_sim_specs(raw: object) -> tuple[SimulationSpec, ...]:
@@ -223,15 +226,7 @@ def _parse_sim_specs(raw: object) -> tuple[SimulationSpec, ...]:
         raw = [raw]
     if not isinstance(raw, list) or not raw:
         raise SpecError("simulate jobs need 'specs': a non-empty list of spec objects")
-    return tuple(
-        _decoded("simulate spec", lambda s=spec: from_dict(SimulationSpec, s))
-        for spec in raw
-    )
-
-
-def _decoded(what: str, decode):
-    """Run a typed decode; its ``ValueError``/``TypeError`` become a 400."""
     try:
-        return decode()
+        return tuple(from_dict(SimulationSpec, spec) for spec in raw)
     except (TypeError, ValueError) as error:
-        raise SpecError(f"invalid {what}: {error}") from error
+        raise SpecError(f"invalid simulate spec: {error}") from error
