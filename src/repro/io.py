@@ -185,7 +185,7 @@ class _Field(NamedTuple):
     """``None`` when the value is already JSON-ready."""
     decode: Callable
     default: object
-    required: bool
+    """``dataclasses.MISSING`` for a required field."""
     omit: bool
 
 
@@ -339,24 +339,13 @@ def _codec(cls: type) -> tuple[_Field, ...]:
         grammar = meta.get("grammar")
         if grammar is not None:
             decode = functools.partial(_parse_or_decode, grammar, decode)
-        required = (
-            field.default is dataclasses.MISSING
-            and field.default_factory is dataclasses.MISSING
-        )
         default = (
             field.default_factory()
             if field.default_factory is not dataclasses.MISSING
             else field.default
         )
         codec.append(
-            _Field(
-                field.name,
-                _encoder(hint, meta),
-                decode,
-                default,
-                required,
-                bool(meta.get("omit")),
-            )
+            _Field(field.name, _encoder(hint, meta), decode, default, bool(meta.get("omit")))
         )
     return tuple(codec)
 
@@ -372,7 +361,7 @@ def to_dict(obj: object) -> dict:
     their fields declare, so equal objects serialise to equal bytes.
     """
     data = {}
-    for name, encode, _, default, _, omit in _codec(type(obj)):
+    for name, encode, _, default, omit in _codec(type(obj)):
         value = getattr(obj, name)
         if omit and (value == default or getattr(value, "is_trivial", False)):
             continue
@@ -403,7 +392,7 @@ def from_dict(cls: type, data: object) -> object:
                 values[field.name] = field.decode(data[field.name])
             except ValueError as error:
                 raise ValueError(f"{field.name}: {error}") from None
-        elif field.required:
+        elif field.default is dataclasses.MISSING:
             raise ValueError(f"{cls.__name__} needs {field.name!r}")
     return cls(**values)
 
