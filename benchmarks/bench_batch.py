@@ -43,7 +43,7 @@ from pathlib import Path
 from repro.api import RunConfig, solve, solve_many
 from repro.api.registry import algorithm_names
 from repro.experiments.workloads import make_workload
-from repro.graphs.kernel import graph_from_wire, kernel_for
+from repro.graphs.kernel import graph_from_wire, invalidate_kernel, kernel_for
 from repro.graphs.util import closed_neighborhood, closed_neighborhood_of_set
 from repro.io import run_report_to_dict
 from repro.solvers.exact import minimum_dominating_set
@@ -278,10 +278,15 @@ def measure_workers(instances, repeats):
             payload.append(data)
         return json.dumps(payload, sort_keys=True)
 
-    serial_s, serial = _best_of(
-        lambda: (clear_opt_cache(), solve_many(instances, algorithms, config))[1],
-        repeats,
-    )
+    def cold_serial():
+        # Workers rebuild every instance from its wire, so they start
+        # cold; drop the serial side's kernels and per-graph memos (cut
+        # lists, OPT) too, or its later repeats would time memo hits.
+        for _, graph in instances:
+            invalidate_kernel(graph)
+        return solve_many(instances, algorithms, config)
+
+    serial_s, serial = _best_of(cold_serial, repeats)
     parallel_s, parallel = _best_of(
         lambda: solve_many(instances, algorithms, config, workers=4), repeats
     )

@@ -18,7 +18,7 @@ exact              mds      fast             1 (full gather)
 local_cuts_vc      mvc      fast, simulate   O_t(1) (Thm 4.1 variant)
 d2_vc              mvc      fast             t (Thm 4.4 variant)
 matching_vc        mvc      fast             2 (maximal matching)
-exact_vc           mvc      fast             1 (full gather)
+exact_vc           mvc      fast             1 (full gather, OPT cache)
 =================  =======  ===============  ==========================
 
 Algorithms whose systems-style per-node protocol ships in
@@ -48,13 +48,15 @@ from repro.core.distributed_greedy import (
 from repro.core.radii import RadiusPolicy
 from repro.core.results import AlgorithmResult
 from repro.core.vertex_cover import d2_vertex_cover, local_cuts_vertex_cover
+from repro.graphs.util import graph_diameter
 from repro.local_model.protocols import (
     D2Protocol,
     DegreeTwoProtocol,
     TakeAllProtocol,
 )
 from repro.solvers.greedy import greedy_dominating_set
-from repro.solvers.vc import matching_vertex_cover, minimum_vertex_cover
+from repro.solvers.opt_cache import optimum_solution
+from repro.solvers.vc import matching_vertex_cover
 
 
 def _protocol(cls):
@@ -64,12 +66,6 @@ def _protocol(cls):
         return cls
 
     return build
-
-
-def _graph_diameter(graph: nx.Graph) -> int:
-    return max(
-        nx.diameter(graph.subgraph(c)) for c in nx.connected_components(graph)
-    )
 
 
 @register_algorithm(
@@ -241,7 +237,7 @@ def _run_matching_vc(graph: nx.Graph, config: RunConfig) -> AlgorithmResult:
 @register_algorithm(
     name="exact_vc",
     problem="mvc",
-    summary="full gather + exact MVC (MILP)",
+    summary="full gather + exact MVC (MILP, via the OPT cache)",
     guarantee="1",
     round_complexity="diam(G)+1",
     tags=("reference",),
@@ -249,8 +245,10 @@ def _run_matching_vc(graph: nx.Graph, config: RunConfig) -> AlgorithmResult:
 def _run_exact_vc(graph: nx.Graph, config: RunConfig) -> AlgorithmResult:
     if graph.number_of_edges() == 0:
         return AlgorithmResult(name="exact_vc", solution=set(), rounds=0)
-    diameter = _graph_diameter(graph)
-    solution = minimum_vertex_cover(graph)
+    diameter = graph_diameter(graph)
+    # Served from the per-instance OPT cache, as `exact` is: with ratio
+    # validation the instance's MVC optimum is usually there already.
+    solution = set(optimum_solution(graph, "mvc", "milp", use_cache=config.opt_cache))
     return AlgorithmResult(
         name="exact_vc",
         solution=solution,

@@ -40,9 +40,10 @@ from repro.graphs.local_cuts import (
     local_two_cuts,
 )
 from repro.graphs.kernel import iter_bits, kernel_for
-from repro.graphs.twins import remove_true_twins
+from repro.graphs.twins import twin_free_graph
 from repro.graphs.util import closed_neighborhood, weak_diameter_mask
 from repro.local_model.gather import gather_views, rounds_for_radius
+from repro.local_model.identifiers import identity_ids
 from repro.local_model.views import View
 from repro.solvers.exact import minimum_b_dominating_set
 
@@ -143,7 +144,7 @@ def algorithm1(
     if graph.number_of_nodes() == 0:
         return AlgorithmResult(name="algorithm1", solution=set(), rounds=0)
 
-    reduced, _ = remove_true_twins(graph)
+    reduced = twin_free_graph(graph)
     x_set, i_set, u_set, undominated = _phase_sets(reduced, policy)
     components = _residual_components(reduced, x_set, i_set, u_set, undominated)
 
@@ -187,11 +188,19 @@ def algorithm1(
 
 
 def _simulate(reduced: nx.Graph, policy: RadiusPolicy, view_radius: int) -> set[Vertex]:
-    """True LOCAL execution: gather views, each node decides independently."""
-    views, _ = gather_views(reduced, view_radius)
-    # identity_ids maps int-labelled vertices to themselves, so the uid
-    # keyspace of `views` coincides with the vertex labels.
-    return {v for v in reduced.nodes if decide_membership(views[v], policy)}
+    """True LOCAL execution: gather views, each node decides independently.
+
+    Views live in identifier space, so each vertex reads the view keyed
+    by the uid the gather assigned it (:func:`identity_ids`: the label
+    itself for int labels, the repr-order index otherwise).  The views'
+    brute-force step breaks ties between optimal sets by uid order and
+    fast mode by label order; the two orders coincide on int labels, so
+    there the modes agree, while on other labels both are valid
+    dominating sets that may differ.
+    """
+    ids = identity_ids(reduced)
+    views, _ = gather_views(reduced, view_radius, ids)
+    return {v for v in reduced.nodes if decide_membership(views[ids[v]], policy)}
 
 
 def decide_membership(view: View, policy: RadiusPolicy) -> bool:

@@ -20,6 +20,7 @@ from typing import Hashable
 import networkx as nx
 
 from repro.core.results import AlgorithmResult
+from repro.graphs.util import graph_diameter
 from repro.solvers.opt_cache import optimum_solution
 
 Vertex = Hashable
@@ -76,9 +77,7 @@ def full_gather_exact(
     """
     if graph.number_of_nodes() == 0:
         return AlgorithmResult(name="full_gather_exact", solution=set(), rounds=0)
-    diameter = max(
-        nx.diameter(graph.subgraph(c)) for c in nx.connected_components(graph)
-    )
+    diameter = graph_diameter(graph)
     if solver not in ("milp", "bnb"):
         raise ValueError(f"unknown solver {solver!r}; choose 'milp' or 'bnb'")
     # Served from the per-instance OPT cache, so running `exact` with

@@ -98,11 +98,19 @@ def local_cuts_vertex_cover(
 
 
 def _simulate_vc(graph: nx.Graph, policy: RadiusPolicy, view_radius: int) -> set[Vertex]:
-    """True LOCAL execution of the MVC variant: per-node view decisions."""
-    from repro.local_model.gather import gather_views
+    """True LOCAL execution of the MVC variant: per-node view decisions.
 
-    views, _ = gather_views(graph, view_radius)
-    return {v for v in graph.nodes if decide_vc_membership(views[v], policy)}
+    Each vertex reads the view keyed by its gather uid
+    (:func:`identity_ids`).  Views break ties between optimal residual
+    covers by uid order and fast mode by label order, so the modes agree
+    on int labels and may pick different valid covers on others.
+    """
+    from repro.local_model.gather import gather_views
+    from repro.local_model.identifiers import identity_ids
+
+    ids = identity_ids(graph)
+    views, _ = gather_views(graph, view_radius, ids)
+    return {v for v in graph.nodes if decide_vc_membership(views[ids[v]], policy)}
 
 
 def decide_vc_membership(view, policy: RadiusPolicy) -> bool:

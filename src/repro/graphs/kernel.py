@@ -519,15 +519,20 @@ class GraphKernel:
         ``seed`` and ``within`` are bitsets; the result is the fixpoint of
         OR-ing closed-neighborhood rows, masked by ``within`` — no
         subgraph object is ever materialized.  ``seed`` bits outside
-        ``within`` are ignored.
+        ``within`` are ignored.  Frontier bits are peeled inline (lowest
+        set bit first) rather than through :func:`iter_bits`: this loop
+        is the innermost one of every local-cut test, and a generator
+        frame per bit is most of its cost.
         """
         closed = self.closed_bits
         component = seed & within
         frontier = component
         while frontier:
             reach = 0
-            for i in iter_bits(frontier):
-                reach |= closed[i]
+            while frontier:
+                low = frontier & -frontier
+                reach |= closed[low.bit_length() - 1]
+                frontier ^= low
             frontier = reach & within & ~component
             component |= frontier
         return component

@@ -31,15 +31,20 @@ across every pair the vertex participates in (the ball-mask arena
 cache), so enumerating all r-local 2-cuts costs one ball BFS per vertex
 plus one or two flood fills per candidate pair — instead of the
 historical O(n·|ball|) fresh-subgraph + networkx-connectivity calls.
-The cache is registered as a kernel derived cache:
-``invalidate_kernel(graph)`` clears it, and a kernel rebuild (node-count
-change) orphans it automatically.
+The same per-(graph, kernel) entry memoises the cut enumerations:
+:func:`local_one_cuts` and :func:`local_two_cuts` store their results
+there, keyed by ``(kind, r, minimal)``, as immutable tuples/frozensets,
+and hand every caller a fresh ``set``/``list``.  So Algorithm 1, its
+Algorithm 2 re-parameterisation and the MVC variant, run on one graph,
+enumerate each cut list once.  The entry is registered as a kernel
+derived cache: ``invalidate_kernel(graph)`` clears it, and a kernel
+rebuild (node-count change) orphans it automatically.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Hashable
+from typing import Hashable, Iterator
 
 import networkx as nx
 
@@ -53,25 +58,34 @@ from repro.graphs.util import ball_of_set
 
 Vertex = Hashable
 
-# Ball-mask arena cache: graph -> {"kernel": GraphKernel, radius: [mask|None]*n}.
-# Masks fill lazily per vertex; the whole entry is dropped when the
-# graph's kernel object changes or invalidate_kernel is called.
+# Ball-mask arena cache: graph -> {"kernel": GraphKernel,
+# radius: [mask|None]*n, (kind, r, minimal): tuple|frozenset}.
+# Masks fill lazily per vertex, cut lists once per key; the whole entry
+# is dropped when the graph's kernel object changes or invalidate_kernel
+# is called.
 _BALL_CACHE: "weakref.WeakKeyDictionary[nx.Graph, dict]" = weakref.WeakKeyDictionary()
 register_derived_cache(_BALL_CACHE)
 
 
-def _ball_masks(graph: nx.Graph, kernel: GraphKernel, radius: int) -> list:
-    """The (lazily filled) per-vertex radius-``radius`` ball-mask table."""
+def _cache_entry(graph: nx.Graph, kernel: GraphKernel) -> dict:
+    """The graph's cache entry for ``kernel`` (a throwaway dict when the
+    graph type cannot be weak-referenced)."""
     try:
         entry = _BALL_CACHE.get(graph)
     except TypeError:  # graph type that cannot be weak-referenced
-        return [None] * kernel.n
+        return {"kernel": kernel}
     if entry is None or entry["kernel"] is not kernel:
         entry = {"kernel": kernel}
         try:
             _BALL_CACHE[graph] = entry
         except TypeError:
-            return [None] * kernel.n
+            pass
+    return entry
+
+
+def _ball_masks(graph: nx.Graph, kernel: GraphKernel, radius: int) -> list:
+    """The (lazily filled) per-vertex radius-``radius`` ball-mask table."""
+    entry = _cache_entry(graph, kernel)
     table = entry.get(radius)
     if table is None:
         table = entry[radius] = [None] * kernel.n
@@ -112,14 +126,22 @@ def is_local_one_cut(graph: nx.Graph, v: Vertex, r: int) -> bool:
 
 
 def local_one_cuts(graph: nx.Graph, r: int) -> set[Vertex]:
-    """Return all vertices that form r-local minimal 1-cuts of ``graph``."""
+    """Return all vertices that form r-local minimal 1-cuts of ``graph``.
+
+    Memoised per (graph, kernel, r); every call returns a fresh set.
+    """
     kernel = kernel_for(graph)
-    table = _ball_masks(graph, kernel, r)
-    return {
-        label
-        for i, label in enumerate(kernel.labels)
-        if _splits_arena(kernel, _ball_mask(kernel, table, i, r), 1 << i)
-    }
+    entry = _cache_entry(graph, kernel)
+    key = ("one", r, True)
+    cuts = entry.get(key)
+    if cuts is None:
+        table = _ball_masks(graph, kernel, r)
+        cuts = entry[key] = frozenset(
+            label
+            for i, label in enumerate(kernel.labels)
+            if _splits_arena(kernel, _ball_mask(kernel, table, i, r), 1 << i)
+        )
+    return set(cuts)
 
 
 def _is_local_two_cut_idx(
@@ -162,18 +184,30 @@ def local_two_cuts(graph: nx.Graph, r: int, *, minimal: bool = True) -> list[fro
     are tested, so every pair is visited exactly once — no ``seen`` set,
     no per-vertex re-sorting.  Kernel index order is sorted-repr order,
     so the output order matches the historical enumeration.
+
+    Memoised per (graph, kernel, r, minimal); every call returns a fresh
+    list.
     """
     kernel = kernel_for(graph)
+    entry = _cache_entry(graph, kernel)
+    key = ("two", r, minimal)
+    cuts = entry.get(key)
+    if cuts is None:
+        cuts = entry[key] = tuple(_two_cuts_uncached(graph, kernel, r, minimal))
+    return list(cuts)
+
+
+def _two_cuts_uncached(
+    graph: nx.Graph, kernel: GraphKernel, r: int, minimal: bool
+) -> Iterator[frozenset[Vertex]]:
     table = _ball_masks(graph, kernel, r)
     labels = kernel.labels
-    result: list[frozenset[Vertex]] = []
     for u in range(kernel.n):
         ball_u = _ball_mask(kernel, table, u, r)
         for dv in iter_bits(ball_u >> (u + 1)):
             v = u + 1 + dv
             if _is_local_two_cut_idx(kernel, table, u, v, r, minimal):
-                result.append(frozenset({labels[u], labels[v]}))
-    return result
+                yield frozenset({labels[u], labels[v]})
 
 
 def is_locally_k_connected(graph: nx.Graph, r: int, k: int) -> bool:

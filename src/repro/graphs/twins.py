@@ -90,3 +90,19 @@ def remove_true_twins(graph: nx.Graph) -> tuple[nx.Graph, dict[Vertex, Vertex]]:
     reduced = graph.subgraph([labels[i] for i in survivor_idx.tolist()]).copy()
     return reduced, mapping
 
+
+def twin_free_graph(graph: nx.Graph) -> nx.Graph:
+    """``G⁻`` without the copy when there is nothing to remove.
+
+    Returns ``graph`` itself when the twin fixpoint removes no vertex
+    (then ``G⁻ = G``), else the same reduced copy as
+    :func:`remove_true_twins`.  Running on ``graph`` itself lets every
+    per-graph memo (kernel, ball masks, local cut lists) be shared with
+    other callers on the same graph, so the result must not be mutated.
+    """
+    kernel = kernel_for(graph)
+    survivor_idx, _ = twin_survivor_indices(kernel.packed())
+    if len(survivor_idx) == kernel.n:
+        return graph
+    labels = kernel.labels
+    return graph.subgraph([labels[i] for i in survivor_idx.tolist()]).copy()

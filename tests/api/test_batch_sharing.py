@@ -5,9 +5,10 @@ import json
 
 import networkx as nx
 
-from repro.api import RunConfig, solve_many
+from repro.api import RunConfig, list_algorithms, solve, solve_many
 from repro.graphs.families import get_family
 from repro.graphs.kernel import graph_from_wire, kernel_for
+from repro.graphs.twins import has_true_twins
 from repro.io import run_report_to_dict
 from repro.solvers.opt_cache import cache_stats, clear_opt_cache, reset_cache_stats
 
@@ -111,3 +112,49 @@ class TestWorkers:
         serial = solve_many(_instances(), ["d2", "greedy"], config)
         parallel = solve_many(_instances(), ["d2", "greedy"], config, workers=2)
         assert _stable_payload(serial) == _stable_payload(parallel)
+
+
+def _sharing_instances():
+    """Int labels, tuple labels, and a cactus with true twins (there
+    Algorithm 1 runs on a reduced copy, the MVC variant on the graph)."""
+    ladder = get_family("ladder").make(14, 0)
+    cactus = get_family("cactus").make(16, 1)
+    assert has_true_twins(cactus)
+    return [
+        ({"family": "outerplanar"}, get_family("outerplanar").make(14, 2)),
+        ({"family": "ladder", "labels": "tuple"},
+         nx.relabel_nodes(ladder, lambda v: (v % 2, v // 2))),
+        ({"family": "cactus"}, cactus),
+    ]
+
+
+class TestInstanceSharing:
+    """Every algorithm of a batch shares one graph object's memos (cut
+    lists, OPT, kernel); none of that sharing may change a report."""
+
+    def test_batch_equals_each_algorithm_alone_on_a_fresh_copy(self):
+        names = [spec.name for spec in list_algorithms()]
+        config = RunConfig(validate="ratio")
+        for meta, graph in _sharing_instances():
+            batch = solve_many([(meta, graph)], names, config)
+            alone = [solve(graph.copy(), name, config, meta=meta) for name in names]
+            assert _stable_payload(batch) == _stable_payload(alone), meta
+
+    def test_exact_vc_without_opt_cache_matches_cached(self):
+        for _, graph in _sharing_instances():
+            cached = solve(graph, "exact_vc", RunConfig(validate="ratio"))
+            fresh = solve(graph.copy(), "exact_vc", RunConfig(opt_cache=False))
+            assert fresh.solution == cached.solution
+            assert fresh.result.rounds == cached.result.rounds
+
+    def test_exact_vc_reads_the_opt_cache(self):
+        clear_opt_cache()
+        reset_cache_stats()
+        graph = get_family("fan").make(12, 0)
+        solve_many([({}, graph)], ["d2_vc", "exact_vc"], RunConfig(validate="ratio"))
+        # d2_vc's validation solves OPT once; exact_vc and its own
+        # validation both read it back.
+        assert cache_stats() == {"hits": 2, "misses": 1}
+        reset_cache_stats()
+        solve(graph, "exact_vc", RunConfig(opt_cache=False))
+        assert cache_stats() == {"hits": 0, "misses": 0}

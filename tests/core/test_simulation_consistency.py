@@ -1,9 +1,11 @@
 """The key fidelity test: per-node simulated decisions equal the
 centralized computation of Algorithm 1, vertex for vertex."""
 
+import networkx as nx
 import pytest
 
 from repro.analysis.domination import is_dominating_set
+from repro.api import RunConfig, solve
 from repro.core.algorithm1 import algorithm1, decide_membership, InsufficientViewError
 from repro.core.radii import RadiusPolicy
 from repro.graphs import generators as gen
@@ -69,3 +71,29 @@ def test_decisions_depend_only_on_views():
     result = algorithm1(g, mode="simulate")
     decisions = {v: (v in result.solution) for v in g.nodes}
     assert len(set(decisions.values())) == 1
+
+
+SIMULATED = ["algorithm1", "algorithm2", "local_cuts_vc"]
+
+
+@pytest.mark.parametrize("algorithm", SIMULATED)
+def test_simulate_on_non_int_labels_is_valid(algorithm):
+    # Views are keyed by gather uid, not by label; tuple and str labels
+    # must reach the per-node decisions.  Agreement with fast mode is
+    # not claimed here: views break brute-force ties by uid order.
+    for graph in (
+        nx.grid_2d_graph(4, 5),
+        nx.relabel_nodes(random_cactus(2, 5, 0), lambda v: (v, "c")),
+        nx.relabel_nodes(gen.maximal_outerplanar(9), lambda v: f"v{v}"),
+    ):
+        report = solve(graph, algorithm, RunConfig(mode="simulate"))
+        assert report.valid
+
+
+@pytest.mark.parametrize("algorithm", SIMULATED)
+def test_simulate_equals_fast_on_tuple_grid(algorithm):
+    graph = nx.grid_2d_graph(3, 3)
+    simulated = solve(graph, algorithm, RunConfig(mode="simulate"))
+    fast = solve(graph, algorithm, RunConfig())
+    assert simulated.valid
+    assert simulated.solution == fast.solution

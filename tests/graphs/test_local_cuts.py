@@ -4,6 +4,7 @@ import networkx as nx
 
 from repro.graphs import generators as gen
 from repro.graphs.cuts import cut_vertices
+from repro.graphs.kernel import invalidate_kernel
 from repro.graphs.local_cuts import (
     interesting_vertices,
     interesting_vertices_of_cuts,
@@ -147,3 +148,38 @@ class TestInterestingVertices:
     def test_is_interesting_single_vertex(self):
         g = gen.ladder(7)
         assert is_interesting_vertex(g, 6, 2)
+
+
+class TestCutListMemo:
+    def test_mutating_returned_one_cuts_leaves_memo_intact(self):
+        g = gen.cycle(8)
+        first = local_one_cuts(g, 2)
+        first.clear()
+        assert local_one_cuts(g, 2) == set(g.nodes)
+
+    def test_mutating_returned_two_cuts_leaves_memo_intact(self):
+        g = gen.ladder(6)
+        expected = local_two_cuts(g, 3, minimal=True)
+        returned = local_two_cuts(g, 3, minimal=True)
+        returned.clear()
+        assert local_two_cuts(g, 3, minimal=True) == expected
+        assert expected
+
+    def test_memo_keys_separate_radius_and_minimality(self):
+        g = gen.cycle(8)
+        assert len(local_two_cuts(g, 2, minimal=False)) == 16
+        assert local_two_cuts(g, 2, minimal=True) == []
+        assert len(local_two_cuts(g, 1, minimal=False)) == 8
+        assert local_one_cuts(g, 3) == set(g.nodes)
+        assert local_one_cuts(g, 4) == set()
+
+    def test_rewire_plus_invalidate_matches_fresh_graph(self):
+        g = gen.ladder(6)
+        local_one_cuts(g, 2)
+        local_two_cuts(g, 3, minimal=True)  # memo warm
+        g.remove_edge(0, 1)
+        g.add_edge(0, 3)  # same node count: the kernel is not rebuilt
+        invalidate_kernel(g)
+        fresh = nx.Graph(g.edges)
+        assert local_one_cuts(g, 2) == local_one_cuts(fresh, 2)
+        assert local_two_cuts(g, 3, minimal=True) == local_two_cuts(fresh, 3, minimal=True)

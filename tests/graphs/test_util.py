@@ -11,6 +11,7 @@ from repro.graphs.util import (
     closed_neighborhood_of_set,
     connected_components_of_subset,
     distances_from,
+    graph_diameter,
     induced_ball,
     induced_ball_of_set,
     is_d_bounded,
@@ -164,3 +165,37 @@ class TestRelabel:
     def test_connected_components_of_subset(self, path5):
         comps = connected_components_of_subset(path5, [0, 1, 3])
         assert sorted(map(sorted, comps)) == [[0, 1], [3]]
+
+
+def _component_diameter(graph):
+    return max(
+        (nx.diameter(graph.subgraph(c)) for c in nx.connected_components(graph)),
+        default=0,
+    )
+
+
+class TestGraphDiameter:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_graphs_match_networkx(self, seed):
+        for p in (0.02, 0.08, 0.3):
+            g = nx.gnp_random_graph(40 + 11 * seed, p, seed=seed)
+            assert graph_diameter(g) == _component_diameter(g)
+
+    def test_disconnected_takes_the_largest_component_diameter(self):
+        g = nx.disjoint_union(gen.path(7), gen.cycle(9))
+        assert graph_diameter(g) == 6 == _component_diameter(g)
+
+    def test_isolated_vertices_and_empty(self):
+        g = gen.cycle(5)
+        g.add_nodes_from(["a", "b"])
+        assert graph_diameter(g) == 2 == _component_diameter(g)
+        assert graph_diameter(nx.empty_graph(4)) == 0
+        assert graph_diameter(nx.Graph()) == 0
+
+    def test_more_vertices_than_one_source_block(self):
+        g = gen.path(150)  # sources are walked in blocks; the far end is in the last
+        assert graph_diameter(g) == 149
+
+    def test_tuple_labels(self):
+        g = nx.grid_2d_graph(3, 5)
+        assert graph_diameter(g) == 6 == _component_diameter(g)
