@@ -14,34 +14,22 @@ live in :mod:`repro.graphs.local_cuts`.
 Everything here runs on the graph's :class:`~repro.graphs.kernel.GraphKernel`:
 vertex sets are int bitsets and "components of ``G − C``" is a masked
 flood-fill fixpoint, never an ``nx.Graph.subgraph`` plus a networkx
-traversal.  :func:`minimal_two_cuts` is additionally memoized per kernel
-(the Section 5.3 consumers — interesting cuts, friends, strip detection —
-all re-enumerate it), with the cache registered as a kernel derived
-cache so :func:`~repro.graphs.kernel.invalidate_kernel` clears it.
+traversal.  :func:`minimal_two_cuts` is additionally memoized in the
+kernel's ``memo`` (the Section 5.3 consumers — interesting cuts,
+friends, strip detection — all re-enumerate it), so
+:func:`~repro.graphs.kernel.invalidate_kernel` drops it with the kernel.
 """
 
 from __future__ import annotations
 
-import weakref
 from itertools import combinations
 from typing import Hashable, Iterable
 
 import networkx as nx
 
-from repro.graphs.kernel import (
-    GraphKernel,
-    iter_bits,
-    kernel_for,
-    register_derived_cache,
-)
+from repro.graphs.kernel import GraphKernel, iter_bits, kernel_for
 
 Vertex = Hashable
-
-# minimal_two_cuts memo: graph -> {"kernel": GraphKernel, "cuts": [...]}.
-# Entries are dropped when the graph's kernel object changes (node-count
-# rebuild or explicit invalidate_kernel, which also clears this directly).
-_TWO_CUT_CACHE: "weakref.WeakKeyDictionary[nx.Graph, dict]" = weakref.WeakKeyDictionary()
-register_derived_cache(_TWO_CUT_CACHE)
 
 
 def _cut_mask(kernel: GraphKernel, cut: Iterable[Vertex]) -> int:
@@ -147,18 +135,9 @@ def minimal_two_cuts(graph: nx.Graph) -> list[frozenset[Vertex]]:
     vertices, strips) calls this repeatedly on the same graph.
     """
     kernel = kernel_for(graph)
-    entry = None
-    try:
-        entry = _TWO_CUT_CACHE.get(graph)
-    except TypeError:  # graph type that cannot be weak-referenced
-        pass
-    if entry is not None and entry["kernel"] is kernel:
-        return list(entry["cuts"])
-    cuts = _minimal_two_cuts_uncached(kernel)
-    try:
-        _TWO_CUT_CACHE[graph] = {"kernel": kernel, "cuts": cuts}
-    except TypeError:
-        pass
+    cuts = kernel.memo.get("minimal_two_cuts")
+    if cuts is None:
+        cuts = kernel.memo["minimal_two_cuts"] = tuple(_minimal_two_cuts_uncached(kernel))
     return list(cuts)
 
 

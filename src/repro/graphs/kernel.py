@@ -21,7 +21,10 @@ Caching contract
 
 Kernels are built once per graph through :func:`kernel_for` and cached
 in a :class:`weakref.WeakKeyDictionary`, so the kernel lives exactly as
-long as the graph object.  A kernel assumes the graph is **not mutated
+long as the graph object.  Everything else derived from the graph —
+ball masks, local and global cut lists, exact optima, the sanitizer's
+fingerprint — is kept in the kernel's ``memo`` dict, so it lives and
+dies with the kernel.  A kernel assumes the graph is **not mutated
 after** ``kernel_for`` — mutate the graph and you must rebuild.  The
 cache-hit path stays O(1), so the only automatic guard is the node
 count: mutations that change it rebuild transparently, while any
@@ -31,8 +34,8 @@ README "Performance" and "Correctness tooling").
 
 The contract is checked twice over: statically by ``repro lint`` —
 RPR001 flags mutation paths that can reach a function exit without
-``invalidate_kernel``, RPR002 flags per-graph caches that never
-register with :func:`register_derived_cache` — and dynamically by the
+``invalidate_kernel``, RPR002 flags module-level per-graph caches
+outside ``kernel.memo`` — and dynamically by the
 ``REPRO_KERNEL_GUARD=1`` sanitizer, under which every cache hit
 re-verifies a structural fingerprint and raises
 :class:`StaleKernelError` (with build-site provenance) instead of
@@ -204,6 +207,9 @@ class GraphKernel:
     neighborhood per vertex (O(n²/8) bytes), which is what makes small
     graphs fast and large graphs impossible — the packed backend keeps
     the same API with no precomputed masks (see the module docstring).
+
+    ``memo`` is the one mutable part: a dict of results derived from
+    this kernel, filled by the modules that compute them.
     """
 
     backend = "int"
@@ -219,6 +225,7 @@ class GraphKernel:
         "_back_ports",
         "_dense_cut",
         "_packed",
+        "memo",
         "__weakref__",
     )
 
@@ -248,6 +255,7 @@ class GraphKernel:
         # Ball walks go bitset-dense past this many visited vertices.
         self._dense_cut = max(64, n >> 3)
         self._packed = None
+        self.memo = {}
 
     @classmethod
     def _from_csr(cls, labels: list[Vertex], indptr: array, indices: array) -> "GraphKernel":
@@ -276,6 +284,7 @@ class GraphKernel:
         self._back_ports = None
         self._dense_cut = max(64, n >> 3)
         self._packed = None
+        self.memo = {}
         return self
 
     def to_wire(self) -> KernelWire:
@@ -386,17 +395,9 @@ class GraphKernel:
             result |= closed[index_of[v]]
         return result
 
-    def dominates(self, mask: int) -> bool:
-        """Whether the vertex set ``mask`` dominates the whole graph."""
-        return self.closed_neighborhood_bits(mask) == self.full_mask
-
     def dominates_vertices(self, vertices: Iterable[Vertex]) -> bool:
         """Whether the vertices (given as labels) dominate the graph."""
         return self.union_closed_bits(vertices) == self.full_mask
-
-    def undominated(self, mask: int) -> int:
-        """Bitset of vertices not dominated by the vertex set ``mask``."""
-        return self.full_mask & ~self.closed_neighborhood_bits(mask)
 
     def span_counts(self, undominated_mask: int) -> list[int]:
         """Residual spans ``|N[v] ∩ U|`` for every vertex, as a list."""
@@ -471,15 +472,6 @@ class GraphKernel:
         if radius == 0:
             return 1 << i
         dense, seen = self._ball_walk([i], radius)
-        return seen if dense else self._mask_from_indices(seen)
-
-    def ball_bits_from_mask(self, mask: int, radius: int) -> int:
-        """``N^r[S]`` as a bitset for ``S`` given as a bitset."""
-        if radius <= 0 or not mask:
-            return 0 if radius < 0 else mask
-        if mask.bit_count() > self._dense_cut:
-            return self._expand_dense(mask, mask, radius)
-        dense, seen = self._ball_walk(iter_bits(mask), radius)
         return seen if dense else self._mask_from_indices(seen)
 
     def ball_labels(self, center: Vertex, radius: int) -> set[Vertex]:
@@ -591,28 +583,9 @@ class GraphKernel:
 
 
 _KERNELS: "weakref.WeakKeyDictionary[nx.Graph, GraphKernel]"
-# repro: ignore[RPR002] the primary kernel cache itself — invalidate_kernel
-# clears it directly, so registering it as a *derived* cache would be circular.
+# repro: ignore[RPR002] the one per-graph cache; everything derived from a
+# graph lives in its kernel's memo, so dropping the kernel drops it all.
 _KERNELS = weakref.WeakKeyDictionary()
-
-
-# Per-graph caches derived from kernel-era state (e.g. the memoized
-# outerplanarity verdict).  invalidate_kernel clears them alongside the
-# kernel itself, so one call recovers from any mutation.
-_DERIVED_CACHES: list = []
-
-
-def register_derived_cache(cache: "weakref.WeakKeyDictionary") -> None:
-    """Register a per-graph cache for :func:`invalidate_kernel` to clear.
-
-    This is the *other half* of the mutation contract: any module-level
-    per-graph cache whose values are derived from kernel-era structure
-    (memoized verdicts, ball-mask arenas, exact optima, ...) must pass
-    itself here, or the one sanctioned mutation-recovery call —
-    ``invalidate_kernel(graph)`` — cannot clear it and it will serve
-    stale values.  ``repro lint`` enforces this statically as RPR002.
-    """
-    _DERIVED_CACHES.append(cache)
 
 
 # -- the REPRO_KERNEL_GUARD runtime sanitizer -------------------------------
@@ -627,12 +600,11 @@ def register_derived_cache(cache: "weakref.WeakKeyDictionary") -> None:
 _GUARD_ENV = "REPRO_KERNEL_GUARD"
 _KERNEL_GUARD = os.environ.get(_GUARD_ENV, "") not in ("", "0")
 
-# graph -> ((n, m, node_xor, edge_xor), "file:line in func" build site).
-# Registered as a derived cache: invalidate_kernel resets the record
-# along with the kernel itself, so an invalidate-then-rebuild cycle
-# re-fingerprints cleanly.
-_GUARD_STATE: "weakref.WeakKeyDictionary[nx.Graph, tuple]" = weakref.WeakKeyDictionary()
-register_derived_cache(_GUARD_STATE)
+# The record lives in the kernel's memo under _GUARD_KEY:
+# ((n, m, node_xor, edge_xor), "file:line in func" build site).  It goes
+# with the kernel, so an invalidate-then-rebuild cycle re-fingerprints
+# cleanly.
+_GUARD_KEY = "guard"
 
 
 def set_kernel_guard(enabled: bool) -> bool:
@@ -682,27 +654,21 @@ def _build_site() -> str:
     return "<unknown>"
 
 
-def _guard_record(graph: nx.Graph) -> None:
-    try:
-        _GUARD_STATE[graph] = (_structural_fingerprint(graph), _build_site())
-    except TypeError:  # graph type that cannot be weak-referenced
-        pass
+def _guard_record(graph: nx.Graph, kernel) -> None:
+    kernel.memo[_GUARD_KEY] = (_structural_fingerprint(graph), _build_site())
 
 
-def _guard_verify(graph: nx.Graph) -> None:
-    try:
-        state = _GUARD_STATE.get(graph)
-    except TypeError:
-        return
+def _guard_verify(graph: nx.Graph, kernel) -> None:
+    state = kernel.memo.get(_GUARD_KEY)
     if state is None:
         # Kernel cached before the guard was switched on: adopt it now.
-        _guard_record(graph)
+        _guard_record(graph, kernel)
         return
     recorded, site = state
     current = _structural_fingerprint(graph)
     if current == recorded:
         return
-    invalidate_kernel(graph)  # drop the stale kernel + derived caches
+    invalidate_kernel(graph)  # drop the stale kernel and its memo
     n0, m0 = recorded[0], recorded[1]
     raise StaleKernelError(
         f"stale GraphKernel: graph was mutated after kernel_for() without "
@@ -775,13 +741,13 @@ class KernelView:
     gives them the minimal ``nx.Graph`` surface the front door uses
     (``number_of_nodes``/``number_of_edges``, node iteration,
     ``neighbors``, ``edges``) while :func:`kernel_for` short-circuits
-    straight to the wrapped kernel.  The view is weak-referenceable, so
-    per-graph derived caches (exact-OPT, guard state) key on it like
-    they key on graphs.  It is read-only: mutation-shaped calls do not
-    exist, so the kernel staleness contract is trivially satisfied.
+    straight to the wrapped kernel, whose ``memo`` holds everything
+    derived from the instance.  It is read-only: mutation-shaped calls
+    do not exist, so the kernel staleness contract is trivially
+    satisfied.
     """
 
-    __slots__ = ("kernel", "__weakref__")
+    __slots__ = ("kernel",)
 
     def __init__(self, kernel):
         self.kernel = kernel
@@ -871,7 +837,7 @@ def kernel_for(graph: nx.Graph, backend: str | None = None) -> GraphKernel:
         and kernel.backend == wanted
     ):
         if _KERNEL_GUARD:
-            _guard_verify(graph)
+            _guard_verify(graph, kernel)
         return kernel
     if wanted == "packed":
         from repro.graphs.packed import PackedGraphKernel
@@ -882,7 +848,7 @@ def kernel_for(graph: nx.Graph, backend: str | None = None) -> GraphKernel:
     try:
         _KERNELS[graph] = kernel
         if _KERNEL_GUARD:
-            _guard_record(graph)
+            _guard_record(graph, kernel)
     except TypeError:  # graph type that cannot be weak-referenced
         pass
     return kernel
@@ -914,7 +880,7 @@ def graph_from_wire(wire: KernelWire) -> nx.Graph:
     try:
         _KERNELS[graph] = kernel
         if _KERNEL_GUARD:
-            _guard_record(graph)
+            _guard_record(graph, kernel)
     except TypeError:  # graph type that cannot be weak-referenced
         pass
     return graph
@@ -1079,19 +1045,17 @@ def read_wire(path) -> KernelWire:
 
 
 def invalidate_kernel(graph: nx.Graph) -> None:
-    """Drop every cached view of ``graph`` (call after mutating it).
+    """Drop the cached kernel of ``graph`` (call after mutating it).
 
     This is the one sanctioned recovery from a mutation: it evicts the
-    cached :class:`GraphKernel` *and* every registered derived cache
-    (see :func:`register_derived_cache`) plus the sanitizer's
-    fingerprint, so the next ``kernel_for`` rebuilds from the mutated
+    cached :class:`GraphKernel`, and with it the kernel's ``memo`` —
+    every result derived from the graph, the sanitizer's fingerprint
+    included — so the next ``kernel_for`` rebuilds from the mutated
     topology.  The caller's obligation — checked by ``repro lint``
     RPR001 — is to reach this call on every path from a mutation to the
     mutating function's exit.
     """
     try:
         _KERNELS.pop(graph, None)
-        for cache in _DERIVED_CACHES:
-            cache.pop(graph, None)
     except TypeError:  # not weak-referenceable: nothing was ever cached
         pass

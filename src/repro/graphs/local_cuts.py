@@ -28,67 +28,40 @@ a cut test is a masked flood fill on the arena mask, and no
 ``nx.Graph.subgraph`` object is ever materialized.  Each vertex's
 radius-``r`` ball mask is computed **once per (kernel, r)** and reused
 across every pair the vertex participates in (the ball-mask arena
-cache), so enumerating all r-local 2-cuts costs one ball BFS per vertex
+table), so enumerating all r-local 2-cuts costs one ball BFS per vertex
 plus one or two flood fills per candidate pair — instead of the
 historical O(n·|ball|) fresh-subgraph + networkx-connectivity calls.
-The same per-(graph, kernel) entry memoises the cut enumerations:
-:func:`local_one_cuts` and :func:`local_two_cuts` store their results
-there, keyed by ``(kind, r, minimal)``, as immutable tuples/frozensets,
-and hand every caller a fresh ``set``/``list``.  So Algorithm 1, its
-Algorithm 2 re-parameterisation and the MVC variant, run on one graph,
-enumerate each cut list once.  The entry is registered as a kernel
-derived cache: ``invalidate_kernel(graph)`` clears it, and a kernel
-rebuild (node-count change) orphans it automatically.
+The cut enumerations are memoised too: :func:`local_one_cuts` and
+:func:`local_two_cuts` store their results as immutable
+tuples/frozensets, and hand every caller a fresh ``set``/``list``.  So
+Algorithm 1, its Algorithm 2 re-parameterisation and the MVC variant,
+run on one graph, enumerate each cut list once.
+
+Both live in the kernel's ``memo``: a table under ``("balls", r)``
+(masks filled lazily per vertex), a cut list under
+``(kind, r, minimal)``.  They go with the kernel, so
+``invalidate_kernel(graph)`` and a kernel rebuild (node-count change)
+drop them.
 """
 
 from __future__ import annotations
 
-import weakref
 from typing import Hashable, Iterator
 
 import networkx as nx
 
-from repro.graphs.kernel import (
-    GraphKernel,
-    iter_bits,
-    kernel_for,
-    register_derived_cache,
-)
+from repro.graphs.kernel import GraphKernel, iter_bits, kernel_for
 from repro.graphs.util import ball_of_set
 
 Vertex = Hashable
 
-# Ball-mask arena cache: graph -> {"kernel": GraphKernel,
-# radius: [mask|None]*n, (kind, r, minimal): tuple|frozenset}.
-# Masks fill lazily per vertex, cut lists once per key; the whole entry
-# is dropped when the graph's kernel object changes or invalidate_kernel
-# is called.
-_BALL_CACHE: "weakref.WeakKeyDictionary[nx.Graph, dict]" = weakref.WeakKeyDictionary()
-register_derived_cache(_BALL_CACHE)
 
-
-def _cache_entry(graph: nx.Graph, kernel: GraphKernel) -> dict:
-    """The graph's cache entry for ``kernel`` (a throwaway dict when the
-    graph type cannot be weak-referenced)."""
-    try:
-        entry = _BALL_CACHE.get(graph)
-    except TypeError:  # graph type that cannot be weak-referenced
-        return {"kernel": kernel}
-    if entry is None or entry["kernel"] is not kernel:
-        entry = {"kernel": kernel}
-        try:
-            _BALL_CACHE[graph] = entry
-        except TypeError:
-            pass
-    return entry
-
-
-def _ball_masks(graph: nx.Graph, kernel: GraphKernel, radius: int) -> list:
+def _ball_masks(kernel: GraphKernel, radius: int) -> list:
     """The (lazily filled) per-vertex radius-``radius`` ball-mask table."""
-    entry = _cache_entry(graph, kernel)
-    table = entry.get(radius)
+    key = ("balls", radius)
+    table = kernel.memo.get(key)
     if table is None:
-        table = entry[radius] = [None] * kernel.n
+        table = kernel.memo[key] = [None] * kernel.n
     return table
 
 
@@ -120,7 +93,7 @@ def local_cut_subgraph(graph: nx.Graph, cut: set[Vertex], r: int) -> nx.Graph:
 def is_local_one_cut(graph: nx.Graph, v: Vertex, r: int) -> bool:
     """Return whether ``{v}`` is an r-local (minimal) 1-cut of ``graph``."""
     kernel = kernel_for(graph)
-    table = _ball_masks(graph, kernel, r)
+    table = _ball_masks(kernel, r)
     i = kernel.index_of[v]
     return _splits_arena(kernel, _ball_mask(kernel, table, i, r), 1 << i)
 
@@ -128,15 +101,14 @@ def is_local_one_cut(graph: nx.Graph, v: Vertex, r: int) -> bool:
 def local_one_cuts(graph: nx.Graph, r: int) -> set[Vertex]:
     """Return all vertices that form r-local minimal 1-cuts of ``graph``.
 
-    Memoised per (graph, kernel, r); every call returns a fresh set.
+    Memoised per (kernel, r); every call returns a fresh set.
     """
     kernel = kernel_for(graph)
-    entry = _cache_entry(graph, kernel)
     key = ("one", r, True)
-    cuts = entry.get(key)
+    cuts = kernel.memo.get(key)
     if cuts is None:
-        table = _ball_masks(graph, kernel, r)
-        cuts = entry[key] = frozenset(
+        table = _ball_masks(kernel, r)
+        cuts = kernel.memo[key] = frozenset(
             label
             for i, label in enumerate(kernel.labels)
             if _splits_arena(kernel, _ball_mask(kernel, table, i, r), 1 << i)
@@ -169,7 +141,7 @@ def is_local_two_cut(graph: nx.Graph, u: Vertex, v: Vertex, r: int, *, minimal: 
     if u == v:
         return False
     kernel = kernel_for(graph)
-    table = _ball_masks(graph, kernel, r)
+    table = _ball_masks(kernel, r)
     i, j = kernel.index_of[u], kernel.index_of[v]
     if not _ball_mask(kernel, table, i, r) >> j & 1:
         return False
@@ -185,22 +157,20 @@ def local_two_cuts(graph: nx.Graph, r: int, *, minimal: bool = True) -> list[fro
     no per-vertex re-sorting.  Kernel index order is sorted-repr order,
     so the output order matches the historical enumeration.
 
-    Memoised per (graph, kernel, r, minimal); every call returns a fresh
-    list.
+    Memoised per (kernel, r, minimal); every call returns a fresh list.
     """
     kernel = kernel_for(graph)
-    entry = _cache_entry(graph, kernel)
     key = ("two", r, minimal)
-    cuts = entry.get(key)
+    cuts = kernel.memo.get(key)
     if cuts is None:
-        cuts = entry[key] = tuple(_two_cuts_uncached(graph, kernel, r, minimal))
+        cuts = kernel.memo[key] = tuple(_two_cuts_uncached(kernel, r, minimal))
     return list(cuts)
 
 
 def _two_cuts_uncached(
-    graph: nx.Graph, kernel: GraphKernel, r: int, minimal: bool
+    kernel: GraphKernel, r: int, minimal: bool
 ) -> Iterator[frozenset[Vertex]]:
-    table = _ball_masks(graph, kernel, r)
+    table = _ball_masks(kernel, r)
     labels = kernel.labels
     for u in range(kernel.n):
         ball_u = _ball_mask(kernel, table, u, r)
@@ -244,7 +214,7 @@ def _certifies_interesting(graph: nx.Graph, u: Vertex, v: Vertex, r: int) -> boo
     ``v`` is the candidate interesting vertex; ``u`` is its cut partner.
     """
     kernel = kernel_for(graph)
-    table = _ball_masks(graph, kernel, r)
+    table = _ball_masks(kernel, r)
     return _certifies_interesting_idx(
         kernel, table, kernel.index_of[u], kernel.index_of[v], r
     )
@@ -257,7 +227,7 @@ def is_interesting_vertex(graph: nx.Graph, v: Vertex, r: int) -> bool:
     2-cut ``{u, v}``.
     """
     kernel = kernel_for(graph)
-    table = _ball_masks(graph, kernel, r)
+    table = _ball_masks(kernel, r)
     j = kernel.index_of[v]
     for i in iter_bits(_ball_mask(kernel, table, j, r) & ~(1 << j)):
         if not _is_local_two_cut_idx(kernel, table, i, j, r, True):
@@ -281,7 +251,7 @@ def interesting_vertices_of_cuts(
     already known (the algorithm computes them anyway).
     """
     kernel = kernel_for(graph)
-    table = _ball_masks(graph, kernel, r)
+    table = _ball_masks(kernel, r)
     index_of = kernel.index_of
     result_bits = 0
     for cut in cuts:

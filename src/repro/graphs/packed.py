@@ -380,6 +380,7 @@ class PackedGraphKernel:
         "_closed",
         "_back_ports",
         "_m",
+        "memo",
         "__weakref__",
     )
 
@@ -399,6 +400,7 @@ class PackedGraphKernel:
         self._closed = None
         self._back_ports = None
         self._m = None
+        self.memo = {}
 
     @classmethod
     def from_graph(cls, graph) -> "PackedGraphKernel":
@@ -560,14 +562,8 @@ class PackedGraphKernel:
             flags[src] = True
         return PackedMask.from_bool(flags)
 
-    def dominates(self, mask: PackedMask) -> bool:
-        return self.closed_neighborhood_bits(mask).bit_count() == self.n
-
     def dominates_vertices(self, vertices: Iterable[Vertex]) -> bool:
         return self.union_closed_bits(vertices).bit_count() == self.n
-
-    def undominated(self, mask: PackedMask) -> PackedMask:
-        return self.full_mask & ~self.closed_neighborhood_bits(mask)
 
     def span_counts(self, undominated_mask: PackedMask) -> np.ndarray:
         """Residual spans ``|N[v] ∩ U|`` for every vertex (int64 array).
@@ -606,12 +602,6 @@ class PackedGraphKernel:
         if radius == 0:
             return PackedMask.from_indices(self.n, [i])
         return PackedMask.from_bool(self._ball_flags(np.array([i], dtype=np.int64), radius))
-
-    def ball_bits_from_mask(self, mask: PackedMask, radius: int) -> PackedMask:
-        """``N^r[S]`` as a packed mask for ``S`` given as a mask."""
-        if radius <= 0 or not mask:
-            return PackedMask.zeros(self.n) if radius < 0 else mask
-        return PackedMask.from_bool(self._ball_flags(mask.indices(), radius))
 
     def ball_labels(self, center: Vertex, radius: int) -> set:
         if radius < 0:

@@ -21,25 +21,15 @@ center.  This module recovers those shapes from a concrete graph:
 
 from __future__ import annotations
 
-import weakref
 from itertools import chain
 from typing import Hashable
 
 import networkx as nx
 
 from repro.graphs.cuts import crossing_two_cuts, minimal_two_cuts
-from repro.graphs.kernel import register_derived_cache
 from repro.graphs.local_cuts import is_local_two_cut
 
 Vertex = Hashable
-
-_OUTERPLANAR_CACHE: "weakref.WeakKeyDictionary[nx.Graph, tuple[int, int, bool]]"
-_OUTERPLANAR_CACHE = weakref.WeakKeyDictionary()
-# Cleared by repro.graphs.kernel.invalidate_kernel, so the one mutation
-# recovery call also drops memoized outerplanarity verdicts (the (n, m)
-# guard below misses equal-count edge rewires on its own).
-register_derived_cache(_OUTERPLANAR_CACHE)
-
 
 def is_outerplanar(graph: nx.Graph) -> bool:
     """Outerplanarity via the apex characterisation.
@@ -47,22 +37,13 @@ def is_outerplanar(graph: nx.Graph) -> bool:
     ``G`` is outerplanar iff ``G + universal vertex`` is planar
     (equivalently: no ``K_4`` or ``K_{2,3}`` minor).  The apexed graph
     is assembled in one pass from an edge iterator (no ``graph.copy()``
-    plus per-vertex ``add_edge`` loop), and the verdict is memoized per
-    graph object (guarded by the ``(n, m)`` fingerprint).
+    plus per-vertex ``add_edge`` loop).
     """
     if graph.number_of_nodes() <= 3:
         return True
-    n, m = graph.number_of_nodes(), graph.number_of_edges()
-    cached = _OUTERPLANAR_CACHE.get(graph)
-    if cached is not None and cached[0] == n and cached[1] == m:
-        return cached[2]
     apex = ("apex",)
     apexed = nx.Graph(chain(graph.edges, ((apex, v) for v in graph.nodes)))
     planar, _ = nx.check_planarity(apexed)
-    try:
-        _OUTERPLANAR_CACHE[graph] = (n, m, planar)
-    except TypeError:  # graph type that cannot be weak-referenced
-        pass
     return planar
 
 

@@ -2,8 +2,8 @@
 
 The hot-path refactors (PRs 3–5) rest on invariants that are enforced
 only by convention: mutate a graph and you must ``invalidate_kernel``
-it, per-graph caches must register with the kernel's derived-cache
-list, reports must stay byte-deterministic, registry capability flags
+it, per-graph derived results must live in the kernel's ``memo``,
+reports must stay byte-deterministic, registry capability flags
 must match adapter behavior, and int bitset masks must never be treated
 as containers.  This package checks those contracts mechanically — the
 AST rules RPR001–RPR005 (see each ``rules_*`` module), an inline

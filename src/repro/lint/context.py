@@ -153,9 +153,7 @@ MASK_RETURNING = {
     "bits_of",
     "closed_neighborhood_bits",
     "union_closed_bits",
-    "undominated",
     "ball_bits",
-    "ball_bits_from_mask",
     "component_bits",
     "greedy_cover_mask",
     "weak_diameter_mask",

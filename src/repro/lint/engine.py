@@ -23,8 +23,8 @@ from repro.lint.rules_bitset import BitsetDisciplineRule
 from repro.lint.rules_determinism import NondeterminismRule
 from repro.lint.rules_io import AtomicWriteRule
 from repro.lint.rules_kernel import (
+    ModuleWeakCacheRule,
     MutationWithoutInvalidateRule,
-    UnregisteredDerivedCacheRule,
 )
 from repro.lint.rules_registry import RegistryHygieneRule
 from repro.lint.suppressions import Suppressions
@@ -36,7 +36,7 @@ PARSE_ERROR_RULE = "RPR000"
 #: ``all_rules()`` derive from this list.
 RULES = (
     MutationWithoutInvalidateRule(),
-    UnregisteredDerivedCacheRule(),
+    ModuleWeakCacheRule(),
     NondeterminismRule(),
     RegistryHygieneRule(),
     BitsetDisciplineRule(),

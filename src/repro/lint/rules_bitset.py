@@ -49,10 +49,7 @@ LABEL_PARAM_CALLS = {
 MASK_PARAM_CALLS = {
     "labels_of",
     "closed_neighborhood_bits",
-    "dominates",
-    "undominated",
     "span_counts",
-    "ball_bits_from_mask",
     "component_bits",
     "components_of_mask",
     "count_components_of_mask",

@@ -12,11 +12,11 @@ docstring) has two obligations these rules check mechanically:
   calls — "constructors that never leak a cached kernel") are exempt:
   a fresh object cannot have a cached kernel yet.
 
-* **RPR002** — every module-level ``weakref.WeakKeyDictionary`` keyed by
-  graphs must be passed to
-  :func:`~repro.graphs.kernel.register_derived_cache`, or
-  ``invalidate_kernel`` cannot clear it and it serves stale values
-  after the one mutation-recovery call the contract allows.
+* **RPR002** — no module-level ``weakref.WeakKeyDictionary`` besides
+  the kernel cache itself (``_KERNELS``, suppressed inline).  Per-graph
+  derived results belong in ``kernel_for(graph).memo``, which
+  ``invalidate_kernel`` drops with the kernel; a side cache keyed by
+  graphs outlives that call and serves stale values after a mutation.
 """
 
 from __future__ import annotations
@@ -262,40 +262,31 @@ class _MutationFlow:
         self.findings.update(self.dirty)
 
 
-class UnregisteredDerivedCacheRule:
-    """RPR002: module-level graph-keyed cache never registered."""
+class ModuleWeakCacheRule:
+    """RPR002: module-level graph-keyed cache outside the kernel memo."""
 
     rule = "RPR002"
-    summary = "WeakKeyDictionary cache not passed to register_derived_cache"
+    summary = "module-level WeakKeyDictionary cache (use kernel_for(graph).memo)"
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        declared: dict[str, ast.Assign] = {}
-        registered: set[str] = set()
         for stmt in module.tree.body:
             if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
                 target = stmt.targets[0]
-                if isinstance(target, ast.Name) and self._is_weak_cache(stmt.value):
-                    declared[target.id] = stmt
-        for node in ast.walk(module.tree):
-            if (
-                isinstance(node, ast.Call)
-                and call_tail(node) == "register_derived_cache"
-                and len(node.args) == 1
-                and isinstance(node.args[0], ast.Name)
-            ):
-                registered.add(node.args[0].id)
-        for name, stmt in sorted(declared.items()):
-            if name not in registered:
+            elif isinstance(stmt, ast.AnnAssign):
+                target = stmt.target
+            else:
+                continue
+            if isinstance(target, ast.Name) and self._is_weak_cache(stmt.value):
                 yield Finding(
                     path=module.path,
                     line=stmt.lineno,
                     col=stmt.col_offset,
                     rule=self.rule,
                     message=(
-                        f"module-level WeakKeyDictionary {name!r} is never "
-                        f"passed to register_derived_cache(); "
+                        f"module-level WeakKeyDictionary {target.id!r}: "
                         f"invalidate_kernel() cannot clear it, so it will "
-                        f"serve stale per-graph values after a mutation"
+                        f"serve stale per-graph values after a mutation; "
+                        f"store derived results in kernel_for(graph).memo"
                     ),
                 )
 

@@ -3,7 +3,7 @@
 Syntax::
 
     graph.add_edge(u, v)  # repro: ignore[RPR001] rebuilt by caller
-    # repro: ignore[RPR002] primary kernel cache, cleared directly
+    # repro: ignore[RPR002] the one per-graph cache
     _KERNELS = weakref.WeakKeyDictionary()
 
 A suppression applies to findings of the named rule(s) on its own

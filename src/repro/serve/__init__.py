@@ -2,8 +2,9 @@
 
 Every other entry point is a fresh CLI process, so the expensive state
 the performance tiers built — the :func:`repro.graphs.kernel.kernel_for`
-weak cache, per-kernel ball-mask arenas, and the exact-OPT cache
-(:mod:`repro.solvers.opt_cache`) — dies with each invocation.  This
+weak cache and each kernel's ``memo`` (ball-mask arenas, cut lists,
+exact optima from :mod:`repro.solvers.opt_cache`) — dies with each
+invocation.  This
 package keeps it alive: a stdlib-only HTTP/JSON service
 (:class:`ReproHTTPServer`) in front of a bounded job queue and a
 resident thread pool (:class:`ReproService`) that executes
@@ -37,16 +38,17 @@ preserve:
   :func:`~repro.graphs.kernel.invalidate_kernel` is never required.
   Any future serve feature that mutates a resident graph must either
   invalidate (and accept losing residency for that instance) or copy.
-* **Kernels and cached optima are immutable once built.**  Two workers
-  that race on a cold instance may both build the kernel or both solve
-  OPT; the loser's store overwrites the winner's with an identical
-  value (all backends are deterministic), so duplicated work is the
-  worst case — never a wrong answer.  The hit/miss counters themselves
+* **Kernels are immutable once built, and memo entries once stored.**
+  Two workers that race on a cold instance may both build the kernel
+  or both solve OPT; the loser's store overwrites the winner's with an
+  identical value (all backends are deterministic), so duplicated work
+  is the worst case — never a wrong answer.  The hit/miss counters themselves
   are lock-guarded (:func:`repro.solvers.opt_cache.snapshot`).
-* **Residency is exactly the strong reference.**  ``kernel_for`` and
-  the OPT cache are weak-keyed; they stay warm only while the instance
-  cache holds the graph.  Evicting an instance (LRU capacity) releases
-  every derived cache with it, which is the intended memory bound.
+* **Residency is exactly the strong reference.**  ``kernel_for`` is
+  weak-keyed and everything derived from an instance lives in its
+  kernel's ``memo``; both stay warm only while the instance cache holds
+  the graph.  Evicting an instance (LRU capacity) releases the kernel
+  and its memo, which is the intended memory bound.
 
 Inline graphs cross from the HTTP handler into the worker pool as
 compact :class:`~repro.graphs.kernel.KernelWire` CSR snapshots (the

@@ -1,9 +1,10 @@
 """Resident instance cache: the strong references that keep caches warm.
 
-Every derived cache in the repo — the :func:`repro.graphs.kernel.kernel_for`
-kernel cache, ball-mask arenas, the exact-OPT cache — is weak-keyed by
-the ``nx.Graph`` object, so residency is precisely "someone holds a
-strong reference to the graph".  This module is that someone: an LRU
+The :func:`repro.graphs.kernel.kernel_for` kernel cache is weak-keyed by
+the ``nx.Graph`` object, and everything derived from an instance —
+ball-mask arenas, cut lists, exact optima — lives in the kernel's
+``memo``, so residency is precisely "someone holds a strong reference
+to the graph".  This module is that someone: an LRU
 map from a canonical instance key to the built graph, shared by every
 worker thread of one :class:`~repro.serve.service.ReproService`.
 
@@ -17,8 +18,8 @@ Keys are canonical so repeat submissions resolve to the *same object*:
   rebuild.
 
 Evicting an entry (capacity bound) drops the strong reference, which
-releases the kernel and every derived cache for that instance — the
-service's memory bound is this cache's capacity.
+releases the kernel and its memo for that instance — the service's
+memory bound is this cache's capacity.
 """
 
 from __future__ import annotations

@@ -9,15 +9,17 @@ instance exactly once instead of twelve times.
 Keying
 ------
 
-Entries are keyed by **kernel identity + problem + backend**: the cache
-maps a graph (weakly) to its :class:`~repro.graphs.kernel.GraphKernel`
-at solve time plus a ``(problem, solver) -> frozenset`` table.  A lookup
-first re-derives ``kernel_for(graph)`` — if the kernel object changed
-(node-count-changing mutation, or an explicit
-:func:`~repro.graphs.kernel.invalidate_kernel`), the stored optima are
-stale and are dropped.  The cache also registers itself as a derived
-cache, so ``invalidate_kernel(graph)`` clears both in one call; the
-mutation contract is exactly the kernel's (see README "Performance").
+Each optimum is stored in the ``memo`` of the graph's
+:class:`~repro.graphs.kernel.GraphKernel` under
+``("opt", problem, solver)``, so it lives exactly as long as the
+kernel: a node-count-changing mutation or an explicit
+:func:`~repro.graphs.kernel.invalidate_kernel` drops it with the kernel,
+and the mutation contract is exactly the kernel's (see README
+"Performance").  Entries are tagged with a module-level generation:
+:func:`clear_opt_cache` bumps it, and a lookup treats an entry from an
+older generation as a miss.  (Clearing cannot walk the kernels instead:
+the kernel of a :class:`~repro.graphs.kernel.KernelView` is never in the
+kernel cache.)
 
 All backends here are deterministic for a fixed input, so a cached
 solution is byte-for-byte the solution an uncached call would produce —
@@ -28,19 +30,18 @@ enabling the cache can never change a reported ``ratio`` or
 from __future__ import annotations
 
 import threading
-import weakref
 from typing import Hashable
 
 import networkx as nx
 
-from repro.graphs.kernel import kernel_for, register_derived_cache
+from repro.graphs.kernel import kernel_for
 
 Vertex = Hashable
 
 PROBLEMS = ("mds", "mvc")
 
-_CACHE: "weakref.WeakKeyDictionary[nx.Graph, dict]" = weakref.WeakKeyDictionary()
-register_derived_cache(_CACHE)
+# Bumped by clear_opt_cache(); memo entries of older generations are misses.
+_GENERATION = 0
 
 # The counters are read-modify-write pairs, so they need a real lock:
 # the serve worker pool (`repro.serve`) drives this module from several
@@ -87,24 +88,18 @@ def optimum_solution(
     """
     if not use_cache:
         return _solve(graph, problem, solver)
-    kernel = kernel_for(graph)
-    try:
-        entry = _CACHE.get(graph)
-    except TypeError:  # graph type that cannot be weak-referenced
-        return _solve(graph, problem, solver)
-    if entry is None or entry["kernel"] is not kernel:
-        entry = {"kernel": kernel, "solutions": {}}
-        _CACHE[graph] = entry
-    key = (problem, solver)
-    solution = entry["solutions"].get(key)
-    if solution is not None:
+    memo = kernel_for(graph).memo
+    key = ("opt", problem, solver)
+    entry = memo.get(key)
+    if entry is not None and entry[0] == _GENERATION:
         with _STATS_LOCK:
             _STATS["hits"] += 1
-        return solution
+        return entry[1]
     with _STATS_LOCK:
         _STATS["misses"] += 1
+    generation = _GENERATION
     solution = _solve(graph, problem, solver)
-    entry["solutions"][key] = solution
+    memo[key] = (generation, solution)
     return solution
 
 
@@ -121,7 +116,8 @@ def optimum_size(
 
 def clear_opt_cache() -> None:
     """Drop every cached optimum (benchmarks use this to measure cold)."""
-    _CACHE.clear()
+    global _GENERATION
+    _GENERATION += 1
 
 
 def snapshot() -> dict[str, int]:

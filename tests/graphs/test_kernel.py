@@ -174,8 +174,7 @@ class TestKernelStructure:
         kernel = GraphKernel(nx.Graph())
         assert kernel.n == 0
         assert kernel.full_mask == 0
-        assert kernel.dominates(0)
-        assert kernel.undominated(0) == 0
+        assert kernel.dominates_vertices([])
         assert kernel.span_counts(0) == []
 
     def test_isolated_vertices(self):
@@ -186,8 +185,8 @@ class TestKernelStructure:
         assert kernel.labels_of(
             kernel.closed_neighborhood_bits(kernel.bits_of([2]))
         ) == {2}
-        assert not kernel.dominates(kernel.bits_of([0]))
-        assert kernel.dominates(kernel.bits_of([0, 2]))
+        assert not kernel.dominates_vertices([0])
+        assert kernel.dominates_vertices([0, 2])
 
     def test_tuple_and_mixed_unsortable_labels(self):
         graph = nx.Graph()

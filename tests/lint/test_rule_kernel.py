@@ -1,4 +1,4 @@
-"""RPR001 (mutation without invalidate) and RPR002 (unregistered cache)."""
+"""RPR001 (mutation without invalidate) and RPR002 (module-level weak cache)."""
 
 from __future__ import annotations
 
@@ -138,7 +138,7 @@ def test_rpr001_ignores_non_graph_container_methods():
     assert rules(src, ("RPR001",)) == []
 
 
-# -- RPR002: unregistered module-level WeakKeyDictionary ---------------------
+# -- RPR002: module-level WeakKeyDictionary ---------------------------------
 
 
 def test_rpr002_fires_on_unregistered_cache():
@@ -150,16 +150,25 @@ def test_rpr002_fires_on_unregistered_cache():
     assert rules(src, ("RPR002",)) == ["RPR002"]
 
 
-def test_rpr002_quiet_when_registered():
+def test_rpr002_fires_even_when_passed_to_a_function():
     src = """
         import weakref
 
-        from repro.graphs.kernel import register_derived_cache
+        from somewhere import track
 
         _CACHE = weakref.WeakKeyDictionary()
-        register_derived_cache(_CACHE)
+        track(_CACHE)
     """
-    assert rules(src, ("RPR002",)) == []
+    assert rules(src, ("RPR002",)) == ["RPR002"]
+
+
+def test_rpr002_fires_on_annotated_cache():
+    src = """
+        import weakref
+
+        _CACHE: "weakref.WeakKeyDictionary[object, dict]" = weakref.WeakKeyDictionary()
+    """
+    assert rules(src, ("RPR002",)) == ["RPR002"]
 
 
 def test_rpr002_ignores_function_local_caches():

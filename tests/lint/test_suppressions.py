@@ -35,8 +35,8 @@ def test_standalone_comment_covers_next_code_line():
 def test_multi_line_comment_block_reaches_code():
     source = dedent(
         """
-        # repro: ignore[RPR002] the primary cache itself — registering it
-        # as a derived cache would be circular.
+        # repro: ignore[RPR002] the one per-graph cache — derived results
+        # live in each kernel's memo.
         _KERNELS = weakref.WeakKeyDictionary()
         """
     ).lstrip()

@@ -71,13 +71,7 @@ def test_primitives_pin_across_backends(graph, data):
     assert int_mask(pk.closed_neighborhood_bits(pmask)) == (
         ik.closed_neighborhood_bits(imask)
     )
-    assert int_mask(pk.undominated(pmask)) == ik.undominated(imask)
-    assert pk.dominates(pmask) == ik.dominates(imask)
     assert pk.span_counts(pmask).tolist() == ik.span_counts(imask)
-    radius = data.draw(st.integers(0, 3))
-    assert int_mask(pk.ball_bits_from_mask(pmask, radius)) == (
-        ik.ball_bits_from_mask(imask, radius)
-    )
     assert [int_mask(c) for c in pk.components_of_mask(pmask)] == list(
         ik.components_of_mask(imask)
     )

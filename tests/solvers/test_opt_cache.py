@@ -1,11 +1,22 @@
 """Per-instance OPT cache: sharing, bypass, and invalidation semantics."""
 
+import gc
+import weakref
+
 import networkx as nx
 import pytest
 
 from repro.analysis.ratio import measure_ratio
 from repro.graphs import generators as gen
-from repro.graphs.kernel import invalidate_kernel
+from repro.graphs.kernel import (
+    GraphKernel,
+    KernelView,
+    invalidate_kernel,
+    kernel_backend,
+    kernel_for,
+    set_kernel_backend,
+)
+from repro.graphs.local_cuts import local_one_cuts, local_two_cuts
 from repro.solvers.exact import domination_number
 from repro.solvers.opt_cache import (
     cache_stats,
@@ -112,3 +123,40 @@ class TestInvalidation:
         clear_opt_cache()
         optimum_size(graph)
         assert _misses() == 2
+
+
+class TestInvalidationPackedKernel(TestInvalidation):
+    """The same cases with every graph on a packed kernel."""
+
+    @pytest.fixture(autouse=True)
+    def _packed_backend(self):
+        previous, threshold = kernel_backend()
+        set_kernel_backend("packed")
+        yield
+        set_kernel_backend(previous, threshold=threshold)
+
+    def test_kernel_is_packed(self):
+        assert kernel_for(gen.path(4)).backend == "packed"
+
+
+class TestKernelMemo:
+    def test_kernel_view_hits_then_clear_misses(self):
+        view = KernelView(GraphKernel(gen.ladder(5)))
+        first = optimum_solution(view, "mds", "bnb")
+        second = optimum_solution(view, "mds", "bnb")
+        assert (_misses(), _hits()) == (1, 1)
+        assert first is second
+        clear_opt_cache()
+        assert optimum_solution(view, "mds", "bnb") == first
+        assert (_misses(), _hits()) == (2, 1)
+
+    def test_memo_dies_with_the_graph(self):
+        graph = gen.ladder(6)
+        local_one_cuts(graph, 2)
+        local_two_cuts(graph, 3)
+        optimum_size(graph)
+        ref = weakref.ref(kernel_for(graph))
+        assert ref().memo
+        del graph
+        gc.collect()
+        assert ref() is None
