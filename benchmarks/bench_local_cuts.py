@@ -304,7 +304,7 @@ def legacy_algorithm1_solution(graph, policy):
 
 def _best_of(fn, repeats, graph=None):
     """Fastest of ``repeats`` calls.  With ``graph`` given, its kernel and
-    every derived cache (ball masks, memoised cut lists) are dropped,
+    its memo (ball masks, memoised cut lists) are dropped,
     untimed, before each call, so every repeat times a cold enumeration
     rather than a memo hit."""
     best = float("inf")

@@ -128,7 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint",
         help="run the project's contract-enforcing static analysis "
-        "(kernel invalidation, derived caches, determinism, registry "
+        "(kernel invalidation, per-graph caches, determinism, registry "
         "hygiene, bitset discipline)",
     )
     lint.add_argument(

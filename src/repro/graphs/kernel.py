@@ -116,7 +116,7 @@ class StaleKernelError(RuntimeError):
     :func:`invalidate_kernel` — every kernel-backed primitive would have
     silently computed on stale topology.  The error message carries the
     build-site provenance of the offending kernel; the stale kernel and
-    its derived caches are dropped before raising, so a handler may
+    its memo are dropped before raising, so a handler may
     simply invalidate-and-retry.
     """
 
