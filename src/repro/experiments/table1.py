@@ -93,7 +93,7 @@ def table1_rows(
     seeds = (0, 1) if scale != "tiny" else (0,)
 
     # One workload per family: rows sharing a family share its graph
-    # objects, so their kernels' memos (and the OPT memo) are reused.
+    # objects, so each graph's kernel memo (cut lists, OPT) is reused.
     suite = {
         name: make_workload(name, sizes, seeds)
         for name in ("tree", "outerplanar", "star", "ladder", "ding")

@@ -31,6 +31,7 @@ from repro.graphs.local_cuts import is_local_two_cut
 
 Vertex = Hashable
 
+
 def is_outerplanar(graph: nx.Graph) -> bool:
     """Outerplanarity via the apex characterisation.
 

@@ -14,7 +14,7 @@ from repro.experiments.sweeps import (
 )
 from repro.experiments.table1 import table1_report, table1_rows
 from repro.experiments.workloads import make_workload, standard_suite
-from repro.solvers.opt_cache import cache_stats, clear_opt_cache, reset_cache_stats
+from repro.solvers.opt_cache import cache_stats, reset_cache_stats
 
 
 class TestWorkloads:
@@ -61,7 +61,6 @@ class TestTable1:
     def test_one_opt_solve_per_distinct_instance(self):
         # tiny = 5 families x sizes (10, 14) x seed 0; rows sharing a
         # family must share its graphs, so each optimum is solved once.
-        clear_opt_cache()
         reset_cache_stats()
         table1_rows("tiny", workers=None)
         assert cache_stats()["misses"] == 10
