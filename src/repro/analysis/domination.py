@@ -41,10 +41,6 @@ def is_b_dominating_set(
     A target that is not a vertex of ``graph`` is simply not dominated
     (the answer is ``False``, matching the historical set-inclusion
     semantics), whereas an unknown *candidate* vertex is an error.
-
-    Backend-generic: the target mask is built through the kernel's own
-    ``bits_of`` (a Python int or a packed word array, matching
-    ``union_closed_bits``), never by hand-assembling int bits.
     """
     kernel = kernel_for(graph)
     dominated = kernel.union_closed_bits(candidate)

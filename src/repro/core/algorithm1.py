@@ -69,7 +69,7 @@ def _phase_sets(
     dominated non-taken vertex is ``N[v] ⊆ dominated``, a single
     AND-NOT test per candidate.
     """
-    kernel = kernel_for(graph)
+    kernel = kernel_for(graph).bitsets()
     x_set = local_one_cuts(graph, policy.one_cut_radius)
     cuts = local_two_cuts(graph, policy.two_cut_radius, minimal=True)
     i_set = interesting_vertices_of_cuts(graph, cuts, policy.two_cut_radius)
@@ -98,7 +98,7 @@ def _residual_components(
     index first, which *is* the repr-order of each component's least
     vertex — the deterministic order the brute-force step relies on.
     """
-    kernel = kernel_for(graph)
+    kernel = kernel_for(graph).bitsets()
     residual = kernel.full_mask & ~(
         kernel.bits_of(x_set) | kernel.bits_of(i_set) | kernel.bits_of(u_set)
     )
@@ -114,7 +114,7 @@ def _residual_components(
 def _component_span(graph: nx.Graph, components: list[tuple[set[Vertex], set[Vertex]]]) -> int:
     """Max weak diameter over ``C ∪ N[B_C]`` — the knowledge footprint of
     the brute-force step (Lemma 4.2 bounds this on K_{2,t}-free graphs)."""
-    kernel = kernel_for(graph)
+    kernel = kernel_for(graph).bitsets()
     span = 0
     for component, targets in components:
         zone = kernel.bits_of(component) | kernel.union_closed_bits(targets)

@@ -18,8 +18,11 @@ from __future__ import annotations
 from typing import Hashable
 
 import networkx as nx
+import numpy as np
 
 from repro.core.results import AlgorithmResult
+from repro.graphs.kernel import kernel_for
+from repro.graphs.packed import bits_from_flags, uncovered_component_roots
 from repro.graphs.util import graph_diameter
 from repro.solvers.opt_cache import optimum_solution
 
@@ -33,13 +36,17 @@ def degree_two_dominating_set(graph: nx.Graph) -> AlgorithmResult:
     (leaves are dominated by their support vertices, which have degree
     ≥ 2).  On general connected graphs the output is still a dominating
     set; the ratio guarantee is tree-specific.
+
+    Degrees are CSR row lengths, where a self-loop counts once rather
+    than twice; that changes nothing, because a vertex whose only edge
+    is a self-loop is its own component and joins as its root.
     """
     if graph.number_of_nodes() == 0:
         return AlgorithmResult(name="degree_two", solution=set(), rounds=0)
-    solution = {v for v in graph.nodes if graph.degree(v) >= 2}
-    for component in nx.connected_components(graph):
-        if not (solution & component):
-            solution.add(min(component, key=repr))
+    kernel = kernel_for(graph).packed()
+    chosen = np.diff(kernel.indptr) >= 2
+    chosen[uncovered_component_roots(kernel, chosen)] = True
+    solution = kernel.labels_of(bits_from_flags(chosen))
     return AlgorithmResult(
         name="degree_two",
         solution=solution,

@@ -22,7 +22,14 @@ import networkx as nx
 
 from repro.core.results import AlgorithmResult
 from repro.graphs.kernel import kernel_for
-from repro.graphs.packed import d2_members_packed, gamma_packed, twin_survivor_indices
+from repro.graphs.packed import (
+    bits_from_flags,
+    d2_members_packed,
+    flags_from_bits,
+    gamma_packed,
+    twin_survivor_indices,
+    uncovered_component_roots,
+)
 
 Vertex = Hashable
 
@@ -59,15 +66,13 @@ def d2_dominating_set(graph: nx.Graph) -> AlgorithmResult:
     kernel = kernel_for(graph).packed()
     survivors, _ = twin_survivor_indices(kernel)
     reduced = kernel.induced(survivors)
-    members = d2_members_packed(reduced)
-    solution = reduced.labels_of(members)
+    chosen = flags_from_bits(d2_members_packed(reduced), reduced.n)
     # A single vertex (after twin reduction a K_n collapses to one) has
     # gamma undefined; it must dominate itself.  ``induced`` keeps labels
     # in kernel (repr) order, so a component's lowest index is its
     # repr-least vertex.
-    for component in reduced.components_of_mask(reduced.full_mask):
-        if not (component & members):
-            solution.add(reduced.labels[int(component.indices()[0])])
+    chosen[uncovered_component_roots(reduced, chosen)] = True
+    solution = reduced.labels_of(bits_from_flags(chosen))
     return AlgorithmResult(
         name="d2",
         solution=solution,

@@ -47,7 +47,7 @@ def _second_condition_masks(
 
 def _second_condition(graph: nx.Graph, u: Vertex, cut: frozenset[Vertex]) -> bool:
     """≥ 2 components of ``G − c`` each holding a vertex non-adjacent to u."""
-    kernel = kernel_for(graph)
+    kernel = kernel_for(graph).bitsets()
     return _second_condition_masks(
         kernel, kernel.index_of[u], removal_component_masks(graph, cut)
     )
@@ -58,7 +58,7 @@ def is_globally_interesting(graph: nx.Graph, v: Vertex, cut: frozenset[Vertex]) 
     if v not in cut or len(cut) != 2:
         return False
     (u,) = cut - {v}
-    kernel = kernel_for(graph)
+    kernel = kernel_for(graph).bitsets()
     closed = kernel.closed_bits
     i_u, i_v = kernel.index_of[u], kernel.index_of[v]
     if not closed[i_v] & ~closed[i_u]:  # N[v] ⊆ N[u]
@@ -92,7 +92,7 @@ def _interesting_orientations(
 
 def globally_interesting_vertices(graph: nx.Graph) -> set[Vertex]:
     """All vertices interesting via some global minimal 2-cut."""
-    kernel = kernel_for(graph)
+    kernel = kernel_for(graph).bitsets()
     result: set[Vertex] = set()
     for cut in minimal_two_cuts(graph):
         result.update(_interesting_orientations(graph, kernel, cut))
@@ -102,7 +102,7 @@ def globally_interesting_vertices(graph: nx.Graph) -> set[Vertex]:
 def interesting_cuts(graph: nx.Graph) -> list[frozenset[Vertex]]:
     """Minimal 2-cuts ``{u, v}`` where ``v`` is interesting and a friend of
     ``u`` (i.e. at least one vertex of the cut is interesting via it)."""
-    kernel = kernel_for(graph)
+    kernel = kernel_for(graph).bitsets()
     return [
         cut
         for cut in minimal_two_cuts(graph)
@@ -112,7 +112,7 @@ def interesting_cuts(graph: nx.Graph) -> list[frozenset[Vertex]]:
 
 def almost_interesting_vertices(graph: nx.Graph) -> set[Vertex]:
     """Vertices satisfying only the component condition (Section 5.3)."""
-    kernel = kernel_for(graph)
+    kernel = kernel_for(graph).bitsets()
     index_of = kernel.index_of
     result: set[Vertex] = set()
     for cut in minimal_two_cuts(graph):
@@ -137,7 +137,7 @@ def covering_noncrossing_families(graph: nx.Graph) -> list[list[frozenset[Vertex
     from repro.graphs.cuts import crossing_two_cuts
     from repro.graphs.spqr import noncrossing_families
 
-    kernel = kernel_for(graph)
+    kernel = kernel_for(graph).bitsets()
     certified: dict[frozenset[Vertex], set[Vertex]] = {}
     for cut in minimal_two_cuts(graph):
         holders = set(_interesting_orientations(graph, kernel, cut))

@@ -35,7 +35,7 @@ from repro.graphs.kernel import (
     set_kernel_guard,
     write_wire,
 )
-from repro.graphs.packed import MaskHandle, PackedGraphKernel, PackedMask
+from repro.graphs.packed import PackedGraphKernel
 from repro.graphs.util import (
     closed_neighborhood,
     closed_neighborhood_of_set,
@@ -78,8 +78,6 @@ from repro.graphs.asdim import (
 __all__ = [
     "GraphKernel",
     "PackedGraphKernel",
-    "PackedMask",
-    "MaskHandle",
     "KernelView",
     "StaleKernelError",
     "kernel_for",

@@ -53,7 +53,7 @@ def is_cut(graph: nx.Graph, cut: Iterable[Vertex]) -> bool:
     cut_set = set(cut)
     if not cut_set:
         return False
-    kernel = kernel_for(graph)
+    kernel = kernel_for(graph).bitsets()
     rest = kernel.full_mask & ~_cut_mask(kernel, cut_set)
     if not rest:
         return False
@@ -66,7 +66,7 @@ def is_minimal_cut(graph: nx.Graph, cut: Iterable[Vertex]) -> bool:
     cut_set = set(cut)
     if not is_cut(graph, cut_set):
         return False
-    kernel = kernel_for(graph)
+    kernel = kernel_for(graph).bitsets()
     mask = _cut_mask(kernel, cut_set)
     if mask.bit_count() < len(cut_set):
         # Labels outside the graph pad the set: the present vertices
@@ -97,7 +97,7 @@ def cut_vertices(graph: nx.Graph) -> set[Vertex]:
 
 def cut_vertices_by_definition(graph: nx.Graph) -> set[Vertex]:
     """Quadratic definition-based 1-cut enumeration (used to cross-check)."""
-    kernel = kernel_for(graph)
+    kernel = kernel_for(graph).bitsets()
     full = kernel.full_mask
     before = kernel.count_components_of_mask(full)
     result: set[Vertex] = set()
@@ -114,7 +114,7 @@ def two_cuts(graph: nx.Graph) -> list[frozenset[Vertex]]:
     Pairs scan in kernel-index order (= sorted repr order), matching the
     historical sorted-pair enumeration order.
     """
-    kernel = kernel_for(graph)
+    kernel = kernel_for(graph).bitsets()
     labels = kernel.labels
     full = kernel.full_mask
     base = kernel.count_components_of_mask(full)
@@ -134,7 +134,7 @@ def minimal_two_cuts(graph: nx.Graph) -> list[frozenset[Vertex]]:
     5.3 machinery (interesting cuts, friends, almost-interesting
     vertices, strips) calls this repeatedly on the same graph.
     """
-    kernel = kernel_for(graph)
+    kernel = kernel_for(graph).bitsets()
     cuts = kernel.memo.get("minimal_two_cuts")
     if cuts is None:
         cuts = kernel.memo["minimal_two_cuts"] = tuple(_minimal_two_cuts_uncached(kernel))
@@ -174,7 +174,7 @@ def removal_component_masks(graph: nx.Graph, cut: Iterable[Vertex]) -> list[int]
     :mod:`repro.core.interesting` so one enumeration can serve both
     orientations of a cut.
     """
-    kernel = kernel_for(graph)
+    kernel = kernel_for(graph).bitsets()
     return list(kernel.components_of_mask(kernel.full_mask & ~_cut_mask(kernel, cut)))
 
 
@@ -194,7 +194,7 @@ def _sorted_label_components(
 def components_after_removal(graph: nx.Graph, cut: Iterable[Vertex]) -> list[set[Vertex]]:
     """Connected components of ``G − cut``, in the historical order."""
     return _sorted_label_components(
-        graph, kernel_for(graph), removal_component_masks(graph, cut)
+        graph, kernel_for(graph).bitsets(), removal_component_masks(graph, cut)
     )
 
 
@@ -208,7 +208,7 @@ def crossing_two_cuts(graph: nx.Graph, c1: Iterable[Vertex], c2: Iterable[Vertex
     c1_set, c2_set = set(c1), set(c2)
     if len(c1_set) != 2 or len(c2_set) != 2 or c1_set & c2_set:
         return False
-    kernel = kernel_for(graph)
+    kernel = kernel_for(graph).bitsets()
     mask1 = _cut_mask(kernel, c1_set)
     mask2 = _cut_mask(kernel, c2_set)
 
@@ -237,7 +237,7 @@ def attached_components(graph: nx.Graph, cut: Iterable[Vertex]) -> list[set[Vert
     non-minimal candidate sets this filters out irrelevant components.
     """
     cut_set = set(cut)
-    kernel = kernel_for(graph)
+    kernel = kernel_for(graph).bitsets()
     closed = kernel.closed_bits
     index_of = kernel.index_of
     boundary = 0

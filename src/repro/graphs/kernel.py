@@ -41,8 +41,9 @@ re-verifies a structural fingerprint and raises
 :class:`StaleKernelError` (with build-site provenance) instead of
 serving a stale kernel.
 
-Masks are plain Python ints: bit ``i`` set means "vertex with kernel
-index ``i`` is in the set".  ``full_mask`` has all ``n`` bits set.
+Masks are plain Python ints on both backends: bit ``i`` set means
+"vertex with kernel index ``i`` is in the set".  ``full_mask`` has all
+``n`` bits set.
 
 Two backends, one contract
 --------------------------
@@ -53,9 +54,8 @@ O(n²/8) bytes in the worst case (~12 MB at n = 10⁴, ~1.2 GB at
 n = 10⁵) — so it targets the 10³–10⁴ range the experiment workloads
 live in.  Beyond that, :func:`kernel_for` automatically switches to
 the **packed backend** (:class:`repro.graphs.packed.PackedGraphKernel`):
-CSR adjacency in numpy ``int64`` arrays, vertex sets as packed
-``uint64`` word arrays (:class:`~repro.graphs.packed.PackedMask`), and
-— the load-bearing invariant — **no precomputed per-node
+CSR adjacency in numpy ``int64`` arrays, the same int masks, and —
+the load-bearing invariant — **no precomputed per-node
 closed-neighborhood masks**; every primitive is a vectorized CSR scan,
 keeping memory O(n + m) words all the way to n ≈ 10⁶
 (BENCH_bigraph.json).
@@ -66,24 +66,32 @@ environment variable (``auto``/``int``/``packed``), the
 :func:`set_kernel_backend` API, or the ``backend=`` argument of
 :func:`kernel_for`/:func:`kernel_from_edges`.  Both backends share the
 canonical form — labels repr-sorted, CSR rows ascending, identical
-:class:`KernelWire` bytes — so masks produced by one backend's
-primitives feed back into that same backend's primitives unchanged,
-and differential tests pin the outputs equal.  Million-node instances
-should be built through :func:`kernel_from_edges` /
-:func:`kernel_from_edge_file` / :func:`read_wire` (never an
-``nx.Graph``) and wrapped in :class:`KernelView` for the
-``solve``/``solve_many`` front door.
+:class:`KernelWire` bytes — and one mask type, so a mask from either
+backend means the same vertex set, and differential tests pin the
+outputs equal.  Million-node instances should be built through
+:func:`kernel_from_edges` / :func:`kernel_from_edge_file` /
+:func:`read_wire` (never an ``nx.Graph``) and wrapped in
+:class:`KernelView` for the ``solve``/``solve_many`` front door.
 
-The whole-graph pipelines run one CSR-array core on either backend:
-the set-cover greedy, ``D₂``/``γ``, true-twin reduction and the
-distributed greedy.  An int kernel reaches them through
-:meth:`GraphKernel.packed`, a cached
-:class:`~repro.graphs.packed.PackedGraphKernel` view over its own CSR.
-``two_packing_lower_bound`` keeps one core per backend (its int loop
-is faster at every size it was measured at).  The int-only pipelines
-— the small-subset searches that read ``closed_bits`` — are exact
-branch and bound with its ``PackingBound``, local cuts, cuts,
-interesting vertices, ``algorithm1`` and ``weak_diameter_mask``.
+The two kernels are mirror views of one CSR, each cached with the
+kernel it was built from:
+
+* :meth:`GraphKernel.packed` hands the whole-graph pipelines — the
+  set-cover greedy, ``D₂``/``γ``, true-twin reduction and the
+  distributed greedy — their one CSR-array core, on either backend
+  (``PackedGraphKernel.packed`` returns the kernel itself).
+  ``two_packing_lower_bound`` keeps one core per backend (its int loop
+  is faster at every size it was measured at).
+* :meth:`PackedGraphKernel.bitsets
+  <repro.graphs.packed.PackedGraphKernel.bitsets>` hands the int-mask
+  searches that read ``closed_bits`` — exact branch and bound with its
+  ``PackingBound``, local cuts, cuts, interesting vertices,
+  ``algorithm1`` and ``weak_diameter_mask`` — an int kernel built from
+  the packed kernel's CSR (``GraphKernel.bitsets`` returns the kernel
+  itself).  Their memo entries live on that view.  It costs up to
+  n²/8 bytes, so only those searches build it; whole-graph pipelines
+  and validation never do, and a packed kernel that never runs one
+  stays O(n + m).
 """
 
 from __future__ import annotations
@@ -206,7 +214,8 @@ class GraphKernel:
     This is the *int* backend: it precomputes one ``n``-bit closed
     neighborhood per vertex (O(n²/8) bytes), which is what makes small
     graphs fast and large graphs impossible — the packed backend keeps
-    the same API with no precomputed masks (see the module docstring).
+    the same API and mask type with no precomputed masks (see the
+    module docstring).
 
     ``memo`` is the one mutable part: a dict of results derived from
     this kernel, filled by the modules that compute them.
@@ -312,6 +321,10 @@ class GraphKernel:
             view._index_of = self.index_of
             self._packed = view
         return self._packed
+
+    def bitsets(self) -> "GraphKernel":
+        """This kernel itself (the packed kernel's method returns a view)."""
+        return self
 
     # -- label <-> index <-> mask conversions --------------------------------
 

@@ -41,7 +41,9 @@ Both live in the kernel's ``memo``: a table under ``("balls", r)``
 (masks filled lazily per vertex), a cut list under
 ``(kind, r, minimal)``.  They go with the kernel, so
 ``invalidate_kernel(graph)`` and a kernel rebuild (node-count change)
-drop them.
+drop them.  Every search here runs on ``kernel_for(graph).bitsets()``:
+the int kernel itself, or a packed kernel's cached int-mask view, whose
+memo then holds these entries.
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ def local_cut_subgraph(graph: nx.Graph, cut: set[Vertex], r: int) -> nx.Graph:
 
 def is_local_one_cut(graph: nx.Graph, v: Vertex, r: int) -> bool:
     """Return whether ``{v}`` is an r-local (minimal) 1-cut of ``graph``."""
-    kernel = kernel_for(graph)
+    kernel = kernel_for(graph).bitsets()
     table = _ball_masks(kernel, r)
     i = kernel.index_of[v]
     return _splits_arena(kernel, _ball_mask(kernel, table, i, r), 1 << i)
@@ -103,7 +105,7 @@ def local_one_cuts(graph: nx.Graph, r: int) -> set[Vertex]:
 
     Memoised per (kernel, r); every call returns a fresh set.
     """
-    kernel = kernel_for(graph)
+    kernel = kernel_for(graph).bitsets()
     key = ("one", r, True)
     cuts = kernel.memo.get(key)
     if cuts is None:
@@ -140,7 +142,7 @@ def is_local_two_cut(graph: nx.Graph, u: Vertex, v: Vertex, r: int, *, minimal: 
     """
     if u == v:
         return False
-    kernel = kernel_for(graph)
+    kernel = kernel_for(graph).bitsets()
     table = _ball_masks(kernel, r)
     i, j = kernel.index_of[u], kernel.index_of[v]
     if not _ball_mask(kernel, table, i, r) >> j & 1:
@@ -159,7 +161,7 @@ def local_two_cuts(graph: nx.Graph, r: int, *, minimal: bool = True) -> list[fro
 
     Memoised per (kernel, r, minimal); every call returns a fresh list.
     """
-    kernel = kernel_for(graph)
+    kernel = kernel_for(graph).bitsets()
     key = ("two", r, minimal)
     cuts = kernel.memo.get(key)
     if cuts is None:
@@ -213,7 +215,7 @@ def _certifies_interesting(graph: nx.Graph, u: Vertex, v: Vertex, r: int) -> boo
 
     ``v`` is the candidate interesting vertex; ``u`` is its cut partner.
     """
-    kernel = kernel_for(graph)
+    kernel = kernel_for(graph).bitsets()
     table = _ball_masks(kernel, r)
     return _certifies_interesting_idx(
         kernel, table, kernel.index_of[u], kernel.index_of[v], r
@@ -226,7 +228,7 @@ def is_interesting_vertex(graph: nx.Graph, v: Vertex, r: int) -> bool:
     Scans all partners ``u ∈ N^r[v]`` for a certifying minimal r-local
     2-cut ``{u, v}``.
     """
-    kernel = kernel_for(graph)
+    kernel = kernel_for(graph).bitsets()
     table = _ball_masks(kernel, r)
     j = kernel.index_of[v]
     for i in iter_bits(_ball_mask(kernel, table, j, r) & ~(1 << j)):
@@ -250,7 +252,7 @@ def interesting_vertices_of_cuts(
     Faster than :func:`interesting_vertices` when the local 2-cuts are
     already known (the algorithm computes them anyway).
     """
-    kernel = kernel_for(graph)
+    kernel = kernel_for(graph).bitsets()
     table = _ball_masks(kernel, r)
     index_of = kernel.index_of
     result_bits = 0

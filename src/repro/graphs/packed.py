@@ -1,23 +1,22 @@
-"""Chunked numpy bitset backend: packed uint64 masks over CSR adjacency.
+"""Numpy CSR backend: the kernel with no per-node mask table.
 
 The int-mask :class:`~repro.graphs.kernel.GraphKernel` precomputes one
 ``n``-bit closed-neighborhood bitset per vertex — O(n²/8) bytes, which
 tops out around n ≈ 2000 (BENCH_kernel.json).  This module is the
 large-graph substrate behind the same kernel API:
 
-* vertex sets are :class:`PackedMask` — ``ceil(n/64)`` little-endian
-  ``uint64`` words (bit ``i`` of the flattened words = kernel index
-  ``i``), with the int-mask operator surface (``& | ^ ~``, truthiness,
-  ``bit_count``) so mask-shaped call sites run unchanged;
+* vertex sets are the same Python-int bitsets as on the int kernel
+  (bit ``i`` = kernel index ``i``); the primitives convert them to and
+  from numpy boolean flags through one pair of helpers,
+  :func:`bits_from_flags` and :func:`flags_from_bits`;
 * adjacency is CSR in numpy ``int64`` arrays, rows sorted ascending —
   the same canonical form the int kernel snapshots into ``KernelWire``;
 * **no per-node closed-neighborhood masks are precomputed** — that
   table is exactly the quadratic memory this backend exists to avoid.
-  Every primitive (``dominates``, ``undominated``, ``span_counts``,
-  ``closed_neighborhood_bits``, balls, flood fills) is a vectorized CSR
-  scan: multi-row gathers, boolean scatters, prefix sums over
-  ``indptr`` segments, and popcounts via ``np.bitwise_count`` (16-bit
-  LUT fallback).  Total memory stays O(n + m) words.
+  Every primitive (``dominates_vertices``, ``closed_neighborhood_bits``,
+  balls) is a vectorized CSR scan: multi-row gathers, boolean scatters
+  and prefix sums over ``indptr`` segments.  Total memory stays
+  O(n + m) words.
 
 Backend selection lives in :func:`repro.graphs.kernel.kernel_for`
 (automatic by node count, overridable); this module never decides —
@@ -26,16 +25,20 @@ kernel: kernel index order *is* repr-sorted label order, so greedy
 tie-breaks, component ordering, and port numbering agree bit-for-bit
 across backends.
 
-The whole-graph pipeline cores at the bottom of this module (greedy
-cover, D₂, twin reduction) are the only implementations of those
-pipelines: an int kernel reaches them through its cached
-:meth:`~repro.graphs.kernel.GraphKernel.packed` view over the same CSR.
+The two kernels are mirror views of one CSR.  The whole-graph pipeline
+cores at the bottom of this module (greedy cover, D₂, twin reduction)
+are the only implementations of those pipelines: an int kernel reaches
+them through its cached :meth:`~repro.graphs.kernel.GraphKernel.packed`
+view.  The int-mask searches that read ``closed_bits`` reach a packed
+kernel through its cached :meth:`PackedGraphKernel.bitsets` view, an
+int kernel built from the same CSR; that view costs up to n²/8 bytes,
+and only those searches ever build it.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -44,160 +47,22 @@ Vertex = Hashable
 _CHUNK_ELEMENTS = 1 << 21  # elements per vectorized batch in pair scans
 
 
-# -- popcount ---------------------------------------------------------------
-
-if hasattr(np, "bitwise_count"):
-
-    def popcount_words(words: np.ndarray) -> int:
-        """Total number of set bits across a uint64 word array."""
-        return int(np.bitwise_count(words).sum(dtype=np.int64))
-
-else:  # pragma: no cover - numpy < 2.0 fallback
-    _POP16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8)
-
-    def popcount_words(words: np.ndarray) -> int:
-        """Total number of set bits across a uint64 word array (LUT)."""
-        if words.size == 0:
-            return 0
-        return int(_POP16[words.view(np.uint16)].sum(dtype=np.int64))
+# -- int bitset <-> boolean flags -------------------------------------------
 
 
-def _word_count(n: int) -> int:
-    return (n + 63) >> 6
+def bits_from_flags(flags: np.ndarray) -> int:
+    """The int bitset of a boolean array (index ``i`` → bit ``i``)."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
-# -- PackedMask -------------------------------------------------------------
+def flags_from_bits(mask: int, n: int) -> np.ndarray:
+    """The int bitset ``mask`` as a fresh length-``n`` boolean array.
 
-
-class PackedMask:
-    """A vertex set as packed uint64 words — the int-mask stand-in.
-
-    Bit ``i`` (word ``i // 64``, bit ``i % 64``) set means "kernel index
-    ``i`` is in the set", identical to the int backend's ``1 << i``
-    convention.  The class mirrors the slice of the Python-int surface
-    the mask call sites actually use — ``& | ^ ~``, truthiness,
-    ``==``, ``bit_count()`` — so ``full_mask & ~union_closed_bits(S)``
-    style code is backend-agnostic.  Tail bits past ``n`` are always
-    zero (``~`` re-masks them), so equality and popcounts are exact.
-
-    Masks are immutable by convention, like ints: operators return new
-    instances and nothing in the library mutates ``words`` in place.
+    ``mask`` must be a non-negative int below ``1 << n``: write
+    ``full_mask & ~x``, never a bare ``~x``.
     """
-
-    __slots__ = ("n", "words")
-
-    def __init__(self, n: int, words: np.ndarray):
-        self.n = n
-        self.words = words
-
-    # -- constructors --
-
-    @classmethod
-    def zeros(cls, n: int) -> "PackedMask":
-        return cls(n, np.zeros(_word_count(n), dtype=np.uint64))
-
-    @classmethod
-    def full(cls, n: int) -> "PackedMask":
-        words = np.full(_word_count(n), np.uint64(0xFFFFFFFFFFFFFFFF), dtype=np.uint64)
-        rem = n & 63
-        if rem and words.size:
-            words[-1] = np.uint64((1 << rem) - 1)
-        return cls(n, words)
-
-    @classmethod
-    def from_bool(cls, flags: np.ndarray) -> "PackedMask":
-        """Pack a length-``n`` boolean array (index ``i`` → bit ``i``)."""
-        flags = np.ascontiguousarray(flags, dtype=bool)
-        n = int(flags.size)
-        packed = np.packbits(flags, bitorder="little")
-        want = _word_count(n) * 8
-        if packed.size != want:
-            packed = np.concatenate([packed, np.zeros(want - packed.size, dtype=np.uint8)])
-        return cls(n, packed.view(np.uint64))
-
-    @classmethod
-    def from_indices(cls, n: int, indices) -> "PackedMask":
-        flags = np.zeros(n, dtype=bool)
-        idx = np.asarray(indices, dtype=np.int64)
-        if idx.size:
-            flags[idx] = True
-        return cls.from_bool(flags)
-
-    @classmethod
-    def from_bytes(cls, n: int, data: bytes) -> "PackedMask":
-        """Mask from little-endian bytes, e.g. ``mask.to_bytes(k, "little")``
-        of an int mask (``k ≤ ceil(n/64)·8``; missing bytes are zero)."""
-        words = np.zeros(_word_count(n), dtype=np.uint64)
-        words.view(np.uint8)[: len(data)] = np.frombuffer(data, dtype=np.uint8)
-        return cls(n, words)
-
-    # -- decoding --
-
-    def to_bool(self) -> np.ndarray:
-        """The mask as a length-``n`` boolean array (fresh, writable)."""
-        if self.n == 0:
-            return np.zeros(0, dtype=bool)
-        return np.unpackbits(self.words.view(np.uint8), count=self.n, bitorder="little").view(
-            np.bool_
-        )
-
-    def indices(self) -> np.ndarray:
-        """Set-bit indices, ascending (the packed ``iter_bits``)."""
-        return np.flatnonzero(self.to_bool())
-
-    def to_bytes(self) -> bytes:
-        """The words as little-endian bytes; ``int.from_bytes(m.to_bytes(),
-        "little")`` is the int-backend mask of the same set."""
-        return self.words.view(np.uint8).tobytes()
-
-    def bit_count(self) -> int:
-        return popcount_words(self.words)
-
-    # -- operators (the int-mask surface) --
-
-    def _binary(self, other, op) -> "PackedMask":
-        if not isinstance(other, PackedMask):
-            return NotImplemented
-        if other.n != self.n:
-            raise ValueError(f"mask size mismatch: {self.n} vs {other.n}")
-        return PackedMask(self.n, op(self.words, other.words))
-
-    def __and__(self, other):
-        return self._binary(other, np.bitwise_and)
-
-    def __or__(self, other):
-        return self._binary(other, np.bitwise_or)
-
-    def __xor__(self, other):
-        return self._binary(other, np.bitwise_xor)
-
-    __rand__ = __and__
-    __ror__ = __or__
-    __rxor__ = __xor__
-
-    def __invert__(self) -> "PackedMask":
-        words = np.bitwise_not(self.words)
-        rem = self.n & 63
-        if rem and words.size:
-            words[-1] &= np.uint64((1 << rem) - 1)
-        return PackedMask(self.n, words)
-
-    def __bool__(self) -> bool:
-        return bool(self.words.any())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PackedMask):
-            return NotImplemented
-        return self.n == other.n and bool(np.array_equal(self.words, other.words))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        count = self.bit_count()
-        return f"PackedMask(n={self.n}, bits={count})"
-
-
-# The issue's name for the shim that lets mask-only callers run on
-# either backend; :class:`PackedMask` is that handle.
-MaskHandle = PackedMask
+    raw = np.frombuffer(mask.to_bytes((n + 7) >> 3, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little").view(np.bool_)
 
 
 # -- vectorized CSR helpers -------------------------------------------------
@@ -351,14 +216,15 @@ def collect_edges(edges: Iterable, n: int | None = None, nodes: Iterable | None 
 
 
 class PackedGraphKernel:
-    """CSR kernel with packed-mask primitives and no precomputed masks.
+    """CSR kernel with vectorized primitives and no precomputed masks.
 
-    Same invariants as :class:`~repro.graphs.kernel.GraphKernel` —
-    labels repr-sorted, each CSR row ascending, kernel index order ==
-    port order — but every vertex-set value is a :class:`PackedMask`
-    and every primitive is a vectorized scan over the CSR arrays.
-    Memory is O(n + m) words; there is deliberately **no**
-    ``closed_bits`` table (accessing it raises).
+    Same invariants and the same mask type as
+    :class:`~repro.graphs.kernel.GraphKernel` — labels repr-sorted,
+    each CSR row ascending, kernel index order == port order, vertex
+    sets as Python-int bitsets — but every primitive is a vectorized
+    scan over the CSR arrays.  Memory is O(n + m) words; there is
+    deliberately **no** ``closed_bits`` table.  The int-mask searches
+    that read one run on :meth:`bitsets`.
 
     Build through :func:`repro.graphs.kernel.kernel_for`,
     :func:`repro.graphs.kernel.kernel_from_edges`, or a wire; direct
@@ -376,10 +242,11 @@ class PackedGraphKernel:
         "_lab_sorted",
         "_lab_sorted_idx",
         "_index_of",
-        "_full",
+        "full_mask",
         "_closed",
         "_back_ports",
         "_m",
+        "_bitsets",
         "memo",
         "__weakref__",
     )
@@ -396,10 +263,11 @@ class PackedGraphKernel:
         self._lab_sorted = None
         self._lab_sorted_idx = None
         self._index_of = None
-        self._full = None
+        self.full_mask = (1 << self.n) - 1
         self._closed = None
         self._back_ports = None
         self._m = None
+        self._bitsets = None
         self.memo = {}
 
     @classmethod
@@ -440,26 +308,45 @@ class PackedGraphKernel:
             self._index_of = {label: i for i, label in enumerate(self.labels)}
         return self._index_of
 
-    @property
-    def full_mask(self) -> PackedMask:
-        if self._full is None:
-            self._full = PackedMask.full(self.n)
-        return self._full
-
     def packed(self) -> "PackedGraphKernel":
         """This kernel itself (the int kernel's method returns a view)."""
         return self
 
-    @property
-    def closed_bits(self):
-        raise AttributeError(
-            "PackedGraphKernel has no closed_bits: per-node closed-neighborhood "
-            "masks are not precomputed on the packed backend (that table is the "
-            "O(n^2) memory it exists to avoid). Greedy, D2, twin reduction and "
-            "the distributed greedy run on either backend; the int-only "
-            "small-subset searches (exact B&B, local cuts, cuts, interesting "
-            "vertices, algorithm1) need the int backend "
-            "(REPRO_KERNEL_BACKEND=int or set_kernel_backend('int'))."
+    def bitsets(self):
+        """This kernel's CSR as an int-mask :class:`~repro.graphs.kernel.GraphKernel`.
+
+        The mirror of :meth:`GraphKernel.packed
+        <repro.graphs.kernel.GraphKernel.packed>`: the int-mask searches
+        (local cuts, cuts, interesting vertices, ``algorithm1``, weak
+        diameters, branch and bound) read its ``closed_bits`` table and
+        keep their memo entries on it.  Built once on first use through
+        ``GraphKernel._from_csr``, then cached for this kernel's
+        lifetime.  The table costs up to n²/8 bytes, so only those
+        searches ever build it; whole-graph pipelines and validation
+        never do.
+        """
+        if self._bitsets is None:
+            from array import array
+
+            from repro.graphs.kernel import GraphKernel
+
+            self._bitsets = GraphKernel._from_csr(
+                self.labels,
+                array("q", self.indptr.tobytes()),
+                array("q", self.indices.tobytes()),
+            )
+        return self._bitsets
+
+    def adjacency(self):
+        """The CSR as a ``scipy.sparse.csr_matrix`` of ones.
+
+        The ones are float64 because ``scipy.sparse.csgraph`` converts
+        any other dtype to float64 on every call, at twice the cost.
+        """
+        from scipy.sparse import csr_matrix
+
+        return csr_matrix(
+            (np.ones(self.indices.size), self.indices, self.indptr), shape=(self.n, self.n)
         )
 
     def _closed_csr(self):
@@ -523,13 +410,17 @@ class PackedGraphKernel:
         index_of = self.index_of
         return np.fromiter((index_of[v] for v in verts), dtype=np.int64, count=len(verts))
 
-    def bits_of(self, vertices: Iterable[Vertex]) -> PackedMask:
-        """Packed mask of an iterable of vertex labels."""
-        return PackedMask.from_indices(self.n, self._indices_of_labels(vertices))
+    def bits_of(self, vertices: Iterable[Vertex]) -> int:
+        """Bitset mask of an iterable of vertex labels."""
+        flags = np.zeros(self.n, dtype=bool)
+        flags[self._indices_of_labels(vertices)] = True
+        return bits_from_flags(flags)
 
-    def labels_of(self, mask: PackedMask) -> set:
+    def labels_of(self, mask: int) -> set:
         """Vertex labels of the set bits of ``mask``."""
-        idx = mask.indices()
+        return self._labels_at(np.flatnonzero(flags_from_bits(mask, self.n)))
+
+    def _labels_at(self, idx: np.ndarray) -> set:
         if self._labels_arr is not None:
             return set(self._labels_arr[idx].tolist())
         labels = self.labels
@@ -544,38 +435,25 @@ class PackedGraphKernel:
 
     # -- domination primitives --
 
-    def closed_neighborhood_bits(self, mask: PackedMask) -> PackedMask:
-        """``N[S]`` as a packed mask, one multi-row gather + scatter."""
-        src = mask.indices()
+    def _closed_flags(self, src: np.ndarray) -> np.ndarray:
+        """``N[S]`` as boolean flags, one multi-row gather + scatter."""
         flags = np.zeros(self.n, dtype=bool)
         if src.size:
             flags[_gather_rows(self.indptr, self.indices, src)] = True
             flags[src] = True
-        return PackedMask.from_bool(flags)
+        return flags
 
-    def union_closed_bits(self, vertices: Iterable[Vertex]) -> PackedMask:
+    def closed_neighborhood_bits(self, mask: int) -> int:
+        """``N[S]`` as a bitset, for ``S`` given as a bitset."""
+        src = np.flatnonzero(flags_from_bits(mask, self.n))
+        return bits_from_flags(self._closed_flags(src))
+
+    def union_closed_bits(self, vertices: Iterable[Vertex]) -> int:
         """``N[S]`` straight from vertex labels (the checker entry)."""
-        src = self._indices_of_labels(vertices)
-        flags = np.zeros(self.n, dtype=bool)
-        if src.size:
-            flags[_gather_rows(self.indptr, self.indices, src)] = True
-            flags[src] = True
-        return PackedMask.from_bool(flags)
+        return bits_from_flags(self._closed_flags(self._indices_of_labels(vertices)))
 
     def dominates_vertices(self, vertices: Iterable[Vertex]) -> bool:
-        return self.union_closed_bits(vertices).bit_count() == self.n
-
-    def span_counts(self, undominated_mask: PackedMask) -> np.ndarray:
-        """Residual spans ``|N[v] ∩ U|`` for every vertex (int64 array).
-
-        One prefix sum over the closed CSR — no per-vertex popcounts.
-        """
-        cind, ccols = self._closed_csr()
-        hits = undominated_mask.to_bool()[ccols]
-        pref = np.zeros(ccols.size + 1, dtype=np.int64)
-        if ccols.size:
-            pref[1:] = np.cumsum(hits)
-        return pref[cind[1:]] - pref[cind[:-1]]
+        return bool(self._closed_flags(self._indices_of_labels(vertices)).all())
 
     # -- balls (vectorized frontier BFS) --
 
@@ -594,69 +472,19 @@ class PackedGraphKernel:
             frontier = np.unique(fresh)
         return flags
 
-    def ball_bits(self, center: Vertex, radius: int) -> PackedMask:
-        """``N^r[center]`` as a packed mask."""
-        if radius < 0:
-            return PackedMask.zeros(self.n)
-        i = self.index_of[center]
-        if radius == 0:
-            return PackedMask.from_indices(self.n, [i])
-        return PackedMask.from_bool(self._ball_flags(np.array([i], dtype=np.int64), radius))
-
     def ball_labels(self, center: Vertex, radius: int) -> set:
+        """``N^r[center]`` as a set of vertex labels."""
         if radius < 0:
             return set()
-        return self.labels_of(self.ball_bits(center, radius))
+        seed = np.array([self.index_of[center]], dtype=np.int64)
+        return self._labels_at(np.flatnonzero(self._ball_flags(seed, radius)))
 
     def ball_labels_of_set(self, vertices: Iterable[Vertex], radius: int) -> set:
+        """``N^r[S]`` as a set of labels, for ``S`` given as labels."""
         start = self._indices_of_labels(vertices)
         if radius < 0:
             return set()
-        if radius == 0:
-            return self.labels_of(PackedMask.from_indices(self.n, start))
-        return self.labels_of(PackedMask.from_bool(self._ball_flags(start, radius)))
-
-    # -- masked connectivity (flood fills) --
-
-    def _flood(self, seed_flags: np.ndarray, within: np.ndarray) -> np.ndarray:
-        component = seed_flags & within
-        frontier = np.flatnonzero(component)
-        while frontier.size:
-            nbrs = _gather_rows(self.indptr, self.indices, frontier)
-            inside = nbrs[within[nbrs]]
-            fresh = inside[~component[inside]]
-            if fresh.size == 0:
-                break
-            component[fresh] = True
-            frontier = np.unique(fresh)
-        return component
-
-    def component_bits(self, seed: PackedMask, within: PackedMask) -> PackedMask:
-        """Connected component of ``G[within]`` containing ``seed``."""
-        return PackedMask.from_bool(self._flood(seed.to_bool(), within.to_bool()))
-
-    def components_of_mask(self, mask: PackedMask) -> Iterator[PackedMask]:
-        """Connected components of ``G[mask]``, lowest kernel index first."""
-        within = mask.to_bool()
-        seeds = np.flatnonzero(within)
-        remaining = within.copy()
-        for s in seeds.tolist():
-            if not remaining[s]:
-                continue
-            seed_flags = np.zeros(self.n, dtype=bool)
-            seed_flags[s] = True
-            component = self._flood(seed_flags, remaining)
-            remaining &= ~component
-            yield PackedMask.from_bool(component)
-
-    def count_components_of_mask(self, mask: PackedMask) -> int:
-        return sum(1 for _ in self.components_of_mask(mask))
-
-    def is_mask_connected(self, mask: PackedMask) -> bool:
-        if not mask:
-            return True
-        first = next(self.components_of_mask(mask))
-        return first.bit_count() == mask.bit_count()
+        return self._labels_at(np.flatnonzero(self._ball_flags(start, radius)))
 
     # -- engine routing --
 
@@ -703,9 +531,7 @@ class PackedGraphKernel:
 # -- packed pipeline cores --------------------------------------------------
 
 
-def greedy_cover_packed(
-    kernel: PackedGraphKernel, target_mask: PackedMask, candidate_mask: PackedMask
-) -> PackedMask:
+def greedy_cover_packed(kernel: PackedGraphKernel, target_mask: int, candidate_mask: int) -> int:
     """The set-cover greedy: the one selection loop behind every greedy.
 
     Each pick is the candidate covering the most still-uncovered
@@ -716,13 +542,13 @@ def greedy_cover_packed(
     order is ``(-gain, index)``, which is exactly that selection.
     """
     n = kernel.n
-    remaining = target_mask.to_bool()
+    remaining = flags_from_bits(target_mask, n)
     remaining_count = int(remaining.sum())
-    chosen = np.zeros(n, dtype=bool)
     if remaining_count == 0:
-        return PackedMask.from_bool(chosen)
+        return 0
+    chosen = np.zeros(n, dtype=bool)
     cind, ccols = kernel._closed_csr()
-    candidates = candidate_mask.indices()
+    candidates = np.flatnonzero(flags_from_bits(candidate_mask, n))
     pref = np.zeros(ccols.size + 1, dtype=np.int64)
     if ccols.size:
         pref[1:] = np.cumsum(remaining[ccols])
@@ -744,7 +570,7 @@ def greedy_cover_packed(
             remaining_count -= gain
         elif gain > 0:
             heapq.heappush(heap, (-gain, c))
-    return PackedMask.from_bool(chosen)
+    return bits_from_flags(chosen)
 
 
 def two_packing_packed(kernel: PackedGraphKernel) -> int:
@@ -772,8 +598,8 @@ def two_packing_packed(kernel: PackedGraphKernel) -> int:
     return count
 
 
-def d2_members_packed(kernel: PackedGraphKernel) -> PackedMask:
-    """``D₂(G)`` membership as a packed mask.
+def d2_members_packed(kernel: PackedGraphKernel) -> int:
+    """``D₂(G)`` membership as a bitset.
 
     ``v ∉ D₂`` iff some neighbor ``u`` has ``N[v] ⊆ N[u]``.  Candidate
     pairs are pre-filtered by closed degree, then all subset tests run
@@ -783,7 +609,7 @@ def d2_members_packed(kernel: PackedGraphKernel) -> PackedMask:
     """
     n = kernel.n
     if n == 0:
-        return PackedMask.zeros(0)
+        return 0
     cind, ccols = kernel._closed_csr()
     cdeg = np.diff(cind)
     rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(kernel.indptr))
@@ -817,7 +643,24 @@ def d2_members_packed(kernel: PackedGraphKernel) -> PackedMask:
             subset = np.logical_and.reduceat(ok, starts)
             dominated[vv[subset]] = True
             start = stop
-    return PackedMask.from_bool(~dominated)
+    return bits_from_flags(~dominated)
+
+
+def uncovered_component_roots(kernel: PackedGraphKernel, covered: np.ndarray) -> np.ndarray:
+    """Lowest kernel index of every connected component with no
+    ``covered`` vertex (``covered`` as boolean flags).
+
+    One ``scipy.sparse.csgraph`` labelling over the CSR.  Kernel index
+    order is repr order, so each root is its component's repr-least
+    vertex.
+    """
+    from scipy.sparse.csgraph import connected_components
+
+    count, component = connected_components(kernel.adjacency(), directed=False)
+    has_cover = np.zeros(count, dtype=bool)
+    has_cover[component[covered]] = True
+    _, first = np.unique(component, return_index=True)
+    return first[~has_cover]
 
 
 def gamma_packed(kernel: PackedGraphKernel, index: int) -> int:

@@ -136,15 +136,11 @@ def graph_diameter(graph: nx.Graph) -> int:
     memory beyond one ``block × n`` distance block, at any ``n``.
     """
     import numpy as np
-    from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import shortest_path
 
     packed = kernel_for(graph).packed()
     n = packed.n
-    adjacency = csr_matrix(
-        (np.ones(len(packed.indices), dtype=np.int8), packed.indices, packed.indptr),
-        shape=(n, n),
-    )
+    adjacency = packed.adjacency()
     best = 0
     for start in range(0, n, _DIAMETER_BLOCK):
         sources = np.arange(start, min(start + _DIAMETER_BLOCK, n))
@@ -165,7 +161,7 @@ def weak_diameter(graph: nx.Graph, vertices: Iterable[Vertex]) -> int:
     vertex_list = list(vertices)
     if len(vertex_list) <= 1:
         return 0
-    kernel = kernel_for(graph)
+    kernel = kernel_for(graph).bitsets()
     index_of = kernel.index_of
     mask = 0
     for v in vertex_list:

@@ -192,91 +192,9 @@ def is_set_expr(node: ast.expr, tags: dict[str, str]) -> bool:
     return False
 
 
-#: ``PackedMask`` factory classmethods; assignment from
-#: ``PackedMask.zeros(n)`` (or via the ``MaskHandle`` alias) tags the
-#: target name as a *packed* word-array mask.
-_PACKED_OWNERS = {"PackedMask", "MaskHandle"}
-_PACKED_FACTORIES = {"zeros", "full", "from_bool", "from_indices"}
-
-#: Local-name conventions for packed masks.
-_PACKED_NAMES = {"pmask", "packed_mask"}
-_PACKED_SUFFIXES = ("_pmask",)
-
-
 def classify_mask(node: ast.expr, tags: dict[str, str]) -> str | None:
     """``"mask"`` when ``node`` evidently builds an int bitset."""
     return "mask" if is_mask_expr(node, tags) else None
-
-
-def classify_mask_kind(node: ast.expr, tags: dict[str, str]) -> str | None:
-    """Three-way mask classification: ``"pmask"``/``"mask"``/``"intbits"``.
-
-    Packed evidence wins over the generic mask conventions (a name
-    assigned from ``PackedMask.zeros`` stays packed even if it is called
-    ``mask``); ``"intbits"`` marks expressions that can *only* be a
-    Python-int bitset (shift arithmetic, ``closed_bits`` subscripts, int
-    literals) and exists solely so RPR005 can flag packed/int mixing.
-    """
-    if is_packed_expr(node, tags):
-        return "pmask"
-    if is_mask_expr(node, tags):
-        return "mask"
-    if is_int_mask_evidence(node, tags):
-        return "intbits"
-    return None
-
-
-def is_packed_expr(node: ast.expr, tags: dict[str, str]) -> bool:
-    """Whether ``node`` is a packed word-array mask (:class:`~repro.\
-graphs.packed.PackedMask`), by constructor/factory call or naming."""
-    if isinstance(node, ast.Name):
-        name = node.id
-        if name in _PACKED_NAMES or name.endswith(_PACKED_SUFFIXES):
-            return True
-        return tags.get(name) == "pmask"
-    if isinstance(node, ast.Call):
-        func = node.func
-        if isinstance(func, ast.Attribute):
-            owner = dotted(func.value)
-            if owner in _PACKED_OWNERS and func.attr in _PACKED_FACTORIES:
-                return True
-        return call_tail(node) in _PACKED_OWNERS
-    if isinstance(node, ast.BinOp) and isinstance(
-        node.op, (ast.BitOr, ast.BitAnd, ast.BitXor)
-    ):
-        return is_packed_expr(node.left, tags) or is_packed_expr(node.right, tags)
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Invert):
-        return is_packed_expr(node.operand, tags)
-    return False
-
-
-def is_int_mask_evidence(node: ast.expr, tags: dict[str, str]) -> bool:
-    """Whether ``node`` carries *int-specific* bitset evidence.
-
-    Deliberately narrower than :func:`is_mask_expr`: only shapes that
-    cannot possibly be a packed mask count — shift arithmetic
-    (``1 << i``), ``closed_bits[...]`` subscripts, bare int literals,
-    and bitwise combinations thereof.  The backend-generic kernel
-    primitives (``bits_of`` & co.) return whichever mask type their
-    kernel uses and are deliberately **not** evidence here.
-    """
-    if isinstance(node, ast.Constant):
-        return isinstance(node.value, int) and not isinstance(node.value, bool)
-    if isinstance(node, ast.BinOp):
-        if isinstance(node.op, (ast.LShift, ast.RShift)):
-            return True
-        if isinstance(node.op, (ast.BitOr, ast.BitAnd, ast.BitXor)):
-            return is_int_mask_evidence(node.left, tags) or is_int_mask_evidence(
-                node.right, tags
-            )
-    if isinstance(node, ast.Subscript):
-        base = dotted(node.value)
-        return base is not None and base.split(".")[-1] == "closed_bits"
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Invert):
-        return is_int_mask_evidence(node.operand, tags)
-    if isinstance(node, ast.Name):
-        return tags.get(node.id) == "intbits"
-    return False
 
 
 def is_mask_expr(node: ast.expr, tags: dict[str, str]) -> bool:

@@ -22,10 +22,8 @@ from typing import Iterator
 from repro.lint.context import (
     ModuleContext,
     call_tail,
-    classify_mask_kind,
-    is_int_mask_evidence,
+    classify_mask,
     is_mask_expr,
-    is_packed_expr,
     local_name_tags,
     walk_scope,
 )
@@ -58,28 +56,14 @@ MASK_PARAM_CALLS = {
 }
 
 
-#: Finding text for a packed/int mask mix — shared by the operator and
-#: comparison checks.
-_MIX_MESSAGE = (
-    "mixing a packed word-array mask with a Python-int bitset; the two "
-    "kernel backends' masks do not interoperate — build both operands "
-    "from the same kernel (PackedMask.zeros/from_indices on packed, "
-    "kernel.bits_of on int)"
-)
-
-
 class BitsetDisciplineRule:
     """RPR005: int masks used as containers / mask-vs-label slot mixups.
 
-    Since the packed (numpy word-array) kernel backend landed, masks come
-    in two runtime shapes: Python ints (small graphs) and
-    :class:`~repro.graphs.packed.PackedMask` word arrays (large graphs).
-    They share the operator alphabet (``& | ^ ~``) but not the
-    representation, so combining one of each is garbage at best and an
-    ``AttributeError`` at worst.  This rule therefore also flags bitwise
-    expressions, in-place updates, and ``==``/``!=`` comparisons whose
-    operands carry *packed* evidence on one side and *int-only* evidence
-    (``1 << i`` shifts, ``closed_bits[...]``, int literals) on the other.
+    Both kernel backends carry vertex sets as Python-int bitsets, so the
+    one mask shape is an int: iterating it, taking its ``len()``, testing
+    membership against it, or passing it where labels are expected (and
+    labels where a mask is expected) is the whole hazard this rule
+    checks.
     """
 
     rule = "RPR005"
@@ -87,7 +71,7 @@ class BitsetDisciplineRule:
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
         for scope in module.scopes():
-            tags = local_name_tags(scope, classify_mask_kind)
+            tags = local_name_tags(scope, classify_mask)
             for node in walk_scope(scope):
                 if isinstance(node, (ast.For, ast.AsyncFor)):
                     if is_mask_expr(node.iter, tags):
@@ -110,18 +94,7 @@ class BitsetDisciplineRule:
                             )
                 elif isinstance(node, ast.Call):
                     yield from self._check_call(module, node, tags)
-                elif isinstance(node, ast.BinOp) and isinstance(
-                    node.op, (ast.BitOr, ast.BitAnd, ast.BitXor)
-                ):
-                    if self._mixes_backends(node.left, node.right, tags):
-                        yield self._finding(module, node, _MIX_MESSAGE)
-                elif isinstance(node, ast.AugAssign) and isinstance(
-                    node.op, (ast.BitOr, ast.BitAnd, ast.BitXor)
-                ):
-                    if self._mixes_backends(node.target, node.value, tags):
-                        yield self._finding(module, node, _MIX_MESSAGE)
                 elif isinstance(node, ast.Compare):
-                    left = node.left
                     for op, comparator in zip(node.ops, node.comparators):
                         if isinstance(op, (ast.In, ast.NotIn)) and is_mask_expr(
                             comparator, tags
@@ -133,11 +106,6 @@ class BitsetDisciplineRule:
                                 "test bits with `mask >> i & 1` or "
                                 "`(1 << i) & mask`",
                             )
-                        elif isinstance(
-                            op, (ast.Eq, ast.NotEq)
-                        ) and self._mixes_backends(left, comparator, tags):
-                            yield self._finding(module, comparator, _MIX_MESSAGE)
-                        left = comparator
 
     def _check_call(
         self, module: ModuleContext, call: ast.Call, tags: dict[str, str]
@@ -186,17 +154,6 @@ class BitsetDisciplineRule:
                 f"{tail}() expects an int bitset mask but received a "
                 f"label container; convert with kernel.bits_of(...)",
             )
-
-    @staticmethod
-    def _mixes_backends(a: ast.expr, b: ast.expr, tags: dict[str, str]) -> bool:
-        """One operand definitely packed, the other definitely int."""
-        kinds = set()
-        for side in (a, b):
-            if is_packed_expr(side, tags):
-                kinds.add("packed")
-            elif is_int_mask_evidence(side, tags):
-                kinds.add("int")
-        return kinds == {"packed", "int"}
 
     @staticmethod
     def _is_label_container(node: ast.expr) -> bool:

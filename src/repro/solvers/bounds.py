@@ -27,7 +27,7 @@ from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 from scipy.sparse import csr_matrix
 
 from repro.graphs.kernel import GraphKernel, iter_bits, kernel_for
-from repro.graphs.packed import PackedMask, greedy_cover_packed, two_packing_packed
+from repro.graphs.packed import greedy_cover_packed, two_packing_packed
 from repro.graphs.util import ball, closed_neighborhood
 
 Vertex = Hashable
@@ -36,31 +36,17 @@ Vertex = Hashable
 # -- mask-level cores (shared with branch-and-bound) -----------------------
 
 
-def greedy_cover_mask(kernel: GraphKernel, target_mask, candidate_mask):
+def greedy_cover_mask(kernel: GraphKernel, target_mask: int, candidate_mask: int) -> int:
     """Greedy cover of ``target_mask`` by ``candidate_mask`` bits.
 
     The classical set-cover greedy (max gain, ties toward the lowest
-    kernel index = ``repr`` order), in the kernel's own mask type.  The
-    popcount of the returned mask is a valid upper bound on the
-    restricted domination number — branch-and-bound uses it as its
-    incumbent.
-
-    The selection loop is the lazy-heap
-    :func:`~repro.graphs.packed.greedy_cover_packed` on
-    ``kernel.packed()``; int masks are converted to packed words once
-    on the way in and back to an int once on the way out.
+    kernel index = ``repr`` order).  The popcount of the returned mask
+    is a valid upper bound on the restricted domination number —
+    branch-and-bound uses it as its incumbent.  The selection loop is
+    the lazy-heap :func:`~repro.graphs.packed.greedy_cover_packed` on
+    ``kernel.packed()``.
     """
-    packed = kernel.packed()
-    if not isinstance(target_mask, int):
-        return greedy_cover_packed(packed, target_mask, candidate_mask)
-    n = kernel.n
-    size = (n + 7) >> 3
-    chosen = greedy_cover_packed(
-        packed,
-        PackedMask.from_bytes(n, target_mask.to_bytes(size, "little")),
-        PackedMask.from_bytes(n, candidate_mask.to_bytes(size, "little")),
-    )
-    return int.from_bytes(chosen.to_bytes(), "little")
+    return greedy_cover_packed(kernel.packed(), target_mask, candidate_mask)
 
 
 class PackingBound:
@@ -75,17 +61,15 @@ class PackingBound:
     as tie-break); :meth:`bound` is then a pure mask loop — cheap enough
     to run at every branch-and-bound node.
 
-    Int-backend only: branch-and-bound explores subsets of small
-    instances, exactly the regime the precomputed ``closed_bits`` table
-    exists for.  On a packed kernel construction raises (no mask
-    table); force ``REPRO_KERNEL_BACKEND=int`` to run B&B on a graph
-    past the auto-selection threshold.
+    It reads the precomputed ``closed_bits`` table, so a packed kernel
+    hands it its :meth:`~repro.graphs.packed.PackedGraphKernel.bitsets`
+    view.
     """
 
     __slots__ = ("_order", "_block")
 
     def __init__(self, kernel: GraphKernel, target_mask: int, candidate_mask: int):
-        closed = kernel.closed_bits
+        closed = kernel.bitsets().closed_bits
         keyed = []
         block: dict[int, int] = {}
         for b in iter_bits(target_mask):

@@ -90,7 +90,7 @@ def bnb_minimum_b_dominating_set(
     candidates: Iterable[Vertex] | None = None,
 ) -> set[Vertex]:
     """Exact minimum set of ``candidates`` dominating ``targets`` (B&B)."""
-    kernel = kernel_for(graph)
+    kernel = kernel_for(graph).bitsets()
     target_mask = kernel.bits_of(targets)
     if not target_mask:
         return set()
@@ -109,7 +109,7 @@ def bnb_minimum_dominating_set(graph: nx.Graph) -> set[Vertex]:
     each is solved with that same kernel — candidates restricted to the
     component, which contains ``N[component]`` by definition.
     """
-    kernel = kernel_for(graph)
+    kernel = kernel_for(graph).bitsets()
     closed = kernel.closed_bits
     remaining = kernel.full_mask
     chosen = 0

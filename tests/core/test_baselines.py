@@ -1,14 +1,18 @@
 """Tests for the Table 1 folklore baselines."""
 
 import networkx as nx
+import pytest
 
 from repro.analysis.domination import is_dominating_set
+from repro.api import solve
 from repro.core.baselines import (
     degree_two_dominating_set,
     full_gather_exact,
     take_all_vertices,
 )
 from repro.graphs import generators as gen
+from repro.graphs.kernel import GraphKernel, KernelView
+from repro.graphs.packed import PackedGraphKernel
 from repro.graphs.random_families import random_tree
 from repro.solvers.exact import domination_number
 
@@ -40,6 +44,33 @@ class TestDegreeTwo:
     def test_valid_on_general_graphs(self, small_zoo):
         for g in small_zoo:
             assert is_dominating_set(g, degree_two_dominating_set(g).solution)
+
+    def test_matches_networkx_reference(self, small_zoo):
+        # The historical implementation: nx degrees (a self-loop counts
+        # twice), then the repr-least vertex of every uncovered component.
+        def reference(graph):
+            solution = {v for v in graph.nodes if graph.degree(v) >= 2}
+            for component in nx.connected_components(graph):
+                if not solution & component:
+                    solution.add(min(component, key=repr))
+            return solution
+
+        loops = nx.path_graph(4)
+        loops.add_edges_from([(1, 1), (7, 7), (8, 8), (8, 9)])
+        forest = nx.Graph([(0, 1), (2, 3), (3, 4)])
+        forest.add_nodes_from([5, 6])
+        graphs = list(small_zoo) + [loops, forest, nx.grid_2d_graph(2, 3)]
+        for g in graphs:
+            assert degree_two_dominating_set(g).solution == reference(g)
+
+    @pytest.mark.parametrize("build", [GraphKernel, PackedGraphKernel.from_graph])
+    def test_runs_on_kernel_view(self, build):
+        g = gen.ladder(12)
+        g.add_edge("tail", 0)
+        g.add_nodes_from(["lone"])
+        report = solve(KernelView(build(g)), "degree_two")
+        assert report.valid
+        assert report.result.solution == degree_two_dominating_set(g).solution
 
 
 class TestTakeAll:

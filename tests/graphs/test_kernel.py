@@ -197,7 +197,7 @@ class TestKernelStructure:
             sorted(graph.nodes)  # labels are genuinely unsortable
         kernel = kernel_for(graph)
         assert set(kernel.labels) == set(graph.nodes)
-        assert kernel.labels_of(kernel.ball_bits("b", 1)) == {("a", 1), "b", 3}
+        assert kernel.labels_of(kernel.bitsets().ball_bits("b", 1)) == {("a", 1), "b", 3}
         assert is_dominating_set(graph, ["b", frozenset({9})])
         assert undominated_vertices(graph, [("a", 1)]) == {3, frozenset({9})}
 
@@ -324,7 +324,7 @@ class TestKernelAgainstNetworkx:
 
     @pytest.mark.parametrize("graph", random_graphs(), ids=lambda g: f"n{len(g)}")
     def test_span_counts(self, graph):
-        kernel = kernel_for(graph)
+        kernel = kernel_for(graph).bitsets()
         nodes = list(graph.nodes)
         undominated = set(nodes[::3])
         spans = kernel.span_counts(kernel.bits_of(undominated))

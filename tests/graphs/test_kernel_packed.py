@@ -8,6 +8,7 @@ kernel the nx route builds.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from repro.analysis.domination import (
 from repro.api import simulate, solve, solve_many
 from repro.api.config import RunConfig
 from repro.core.d2 import d2_dominating_set, d2_set, gamma
+from repro.graphs.families import get_family
 from repro.graphs.kernel import (
     GraphKernel,
     KernelView,
@@ -40,7 +42,7 @@ from repro.graphs.kernel import (
     wire_digest,
     write_wire,
 )
-from repro.graphs.packed import PackedGraphKernel, PackedMask
+from repro.graphs.packed import PackedGraphKernel, bits_from_flags, flags_from_bits
 from repro.graphs.twins import has_true_twins, remove_true_twins, true_twin_classes
 from repro.solvers.bounds import two_packing_lower_bound
 from repro.solvers.greedy import greedy_dominating_set
@@ -78,11 +80,6 @@ def both_kernels(graph):
     return GraphKernel(graph), PackedGraphKernel.from_graph(graph)
 
 
-def as_int_mask(kernel, pmask):
-    """Decode a PackedMask to the int backend's mask over `kernel`."""
-    return sum(1 << int(i) for i in pmask.indices())
-
-
 @pytest.mark.parametrize("graph", zoo(), ids=lambda g: f"n{g.number_of_nodes()}")
 def test_primitives_agree(graph):
     ik, pk = both_kernels(graph)
@@ -98,28 +95,17 @@ def test_primitives_agree(graph):
         [v for v in labels if rng.random() < 0.15],
     ]
     for subset in subsets:
-        imask = ik.bits_of(subset)
-        pmask = pk.bits_of(subset)
-        assert as_int_mask(pk, pmask) == imask
-        assert pk.labels_of(pmask) == ik.labels_of(imask)
-        assert pmask.bit_count() == imask.bit_count()
-        assert as_int_mask(pk, pk.closed_neighborhood_bits(pmask)) == (
-            ik.closed_neighborhood_bits(imask)
-        )
-        assert as_int_mask(pk, pk.union_closed_bits(subset)) == (
-            ik.union_closed_bits(subset)
-        )
+        mask = ik.bits_of(subset)
+        assert pk.bits_of(subset) == mask
+        assert pk.labels_of(mask) == ik.labels_of(mask)
+        assert pk.closed_neighborhood_bits(mask) == ik.closed_neighborhood_bits(mask)
+        assert pk.union_closed_bits(subset) == ik.union_closed_bits(subset)
         assert pk.dominates_vertices(subset) == ik.dominates_vertices(subset)
-        assert pk.span_counts(pmask).tolist() == ik.span_counts(imask)
         for radius in (0, 1, 2):
             assert pk.ball_labels_of_set(subset, radius) == (
                 ik.ball_labels_of_set(subset, radius)
             )
-        got = [as_int_mask(pk, c) for c in pk.components_of_mask(pmask)]
-        want = list(ik.components_of_mask(imask))
-        assert got == want
-        assert pk.count_components_of_mask(pmask) == ik.count_components_of_mask(imask)
-        assert pk.is_mask_connected(pmask) == ik.is_mask_connected(imask)
+    assert pk.full_mask == ik.full_mask
     for v in labels[:6]:
         assert pk.index(v) == ik.index(v)
         assert pk.degree(pk.index(v)) == ik.degree(ik.index(v))
@@ -148,25 +134,17 @@ def test_wire_digest_matches_historical_formula():
         assert wire_digest(wire) == hasher.hexdigest()
 
 
-def test_packed_mask_operators():
-    a = PackedMask.from_indices(70, [0, 3, 64, 69])
-    b = PackedMask.from_indices(70, [3, 5, 69])
-    assert (a & b).indices().tolist() == [3, 69]
-    assert (a | b).indices().tolist() == [0, 3, 5, 64, 69]
-    assert (a ^ b).indices().tolist() == [0, 5, 64]
-    assert (~a).bit_count() == 70 - 4
-    assert (~PackedMask.zeros(70)) == PackedMask.full(70)
-    assert bool(a) and not bool(PackedMask.zeros(70))
-    assert a != b and a == PackedMask.from_indices(70, [69, 64, 3, 0])
-    assert PackedMask.from_bool(a.to_bool()) == a
-    with pytest.raises(ValueError):
-        a & PackedMask.zeros(64)
-
-
 def test_closed_bits_is_not_available_on_packed():
-    pk = PackedGraphKernel.from_graph(nx.path_graph(5))
-    with pytest.raises(AttributeError, match="REPRO_KERNEL_BACKEND=int"):
+    graph = nx.path_graph(5)
+    pk = PackedGraphKernel.from_graph(graph)
+    with pytest.raises(AttributeError):
         pk.closed_bits
+    view = pk.bitsets()
+    assert view.backend == "int"
+    assert view.closed_bits == GraphKernel(graph).closed_bits
+    assert view.to_wire() == pk.to_wire()
+    assert pk.bitsets() is view
+    assert view.bitsets() is view
 
 
 def test_backend_threshold_boundary(restore_backend):
@@ -396,5 +374,65 @@ def test_induced_subkernel_preserves_labels_and_edges():
 
 
 def test_iter_bits_matches_packed_indices():
-    mask = PackedMask.from_indices(130, [0, 63, 64, 127, 129])
-    assert list(iter_bits(as_int_mask(None, mask))) == mask.indices().tolist()
+    flags = np.zeros(130, dtype=bool)
+    flags[[0, 63, 64, 127, 129]] = True
+    mask = bits_from_flags(flags)
+    assert list(iter_bits(mask)) == np.flatnonzero(flags).tolist()
+    assert flags_from_bits(mask, 130).tolist() == flags.tolist()
+    assert bits_from_flags(np.zeros(0, dtype=bool)) == 0
+    assert flags_from_bits(0, 0).size == 0
+
+
+# -- int-mask searches on a packed kernel, through its bitset view ----------
+
+
+def _search_instances():
+    return {
+        "ladder": get_family("ladder").make(10, 0),
+        "cactus-twins": get_family("cactus").make(24, 1),
+        "outerplanar": get_family("outerplanar").make(20, 2),
+        "tuple-labels": nx.grid_2d_graph(3, 5),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_search_instances()))
+def test_int_mask_searches_agree_across_backends(name, restore_backend):
+    graph = _search_instances()[name]
+    config = RunConfig(validate="ratio", solver="bnb")
+    reports = {}
+    for backend in ("int", "packed"):
+        set_kernel_backend(backend)
+        invalidate_kernel(graph)
+        reports[backend] = [
+            dataclasses.replace(solve(graph, algorithm, config), wall_time=0.0)
+            for algorithm in ("algorithm1", "algorithm2", "local_cuts_vc", "exact")
+        ]
+        assert kernel_for(graph).backend == backend
+    invalidate_kernel(graph)
+    assert reports["packed"] == reports["int"]
+    assert all(report.valid for report in reports["packed"])
+
+
+def test_int_mask_searches_run_on_a_packed_kernel_view():
+    graph = get_family("ladder").make(10, 0)
+    kernel = PackedGraphKernel.from_graph(graph)
+    view = KernelView(kernel)
+    config = RunConfig(validate="valid")
+    for algorithm in ("algorithm1", "algorithm2", "local_cuts_vc"):
+        got = solve(view, algorithm, config)
+        assert got.valid
+        assert got.result.solution == solve(graph, algorithm, config).result.solution
+    assert kernel.bitsets().memo  # the searches' memo entries live on the view
+
+
+def test_whole_graph_pipelines_never_build_the_bitset_view(restore_backend):
+    set_kernel_backend("packed")
+    for family in ("ladder", "outerplanar", "tree"):
+        graph = get_family(family).make(40, 1)
+        kernel = kernel_for(graph)
+        for algorithm in (
+            "d2", "take_all", "degree_two", "greedy_central", "d2_vc", "matching_vc", "greedy",
+        ):
+            assert solve(graph, algorithm, RunConfig(validate="valid")).valid
+        assert kernel_for(graph) is kernel
+        assert kernel._bitsets is None  # the packed kernel stays O(n + m)

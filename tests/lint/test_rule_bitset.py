@@ -113,47 +113,6 @@ def test_mask_inferred_from_kernel_primitive_assignment():
     assert rpr005(src) == ["RPR005"]
 
 
-# -- packed/int mask mixing (two-backend discipline) ------------------------
-
-
-def test_packed_and_shift_mix_fires():
-    src = """
-        def hit(kernel, i):
-            pmask = PackedMask.zeros(kernel.n)
-            return pmask & (1 << i)
-    """
-    assert rpr005(src) == ["RPR005"]
-
-
-def test_int_accumulator_oring_packed_fires():
-    src = """
-        def cover(packed_masks):
-            acc = 0
-            for current_pmask in packed_masks:
-                acc |= current_pmask
-            return acc
-    """
-    assert rpr005(src) == ["RPR005"]
-
-
-def test_packed_compared_to_int_literal_fires():
-    src = """
-        def empty(dom_pmask):
-            return dom_pmask == 0
-    """
-    assert rpr005(src) == ["RPR005"]
-
-
-def test_packed_with_packed_is_quiet():
-    src = """
-        def both(kernel, items):
-            pmask = PackedMask.from_indices(kernel.n, items)
-            other_pmask = PackedMask.zeros(kernel.n)
-            return pmask & other_pmask
-    """
-    assert rpr005(src) == []
-
-
 def test_int_mask_with_shift_is_quiet():
     src = """
         def bitset(kernel, items):
@@ -161,20 +120,3 @@ def test_int_mask_with_shift_is_quiet():
             return mask | (1 << 3)
     """
     assert rpr005(src) == []
-
-
-def test_packed_truthiness_is_quiet():
-    src = """
-        def nonempty(pmask):
-            return bool(pmask)
-    """
-    assert rpr005(src) == []
-
-
-def test_maskhandle_alias_factory_fires_on_mix():
-    src = """
-        def seed(kernel):
-            handle_pmask = MaskHandle.full(kernel.n)
-            return handle_pmask ^ (1 << 0)
-    """
-    assert rpr005(src) == ["RPR005"]
