@@ -17,6 +17,7 @@ from typing import Mapping
 
 from repro.core.radii import RadiusPolicy
 from repro.core.results import AlgorithmResult
+from repro.graphs.kernel import cached_kernel
 from repro.io import from_dict
 
 MODES = ("fast", "simulate")
@@ -323,8 +324,15 @@ def measured_ratio(size: int, optimum_size: int) -> float:
 
 
 def instance_meta(graph, extra: Mapping | None = None) -> dict:
-    """The standard instance-metadata dict (``n``, ``m``, caller extras)."""
-    meta = {"n": graph.number_of_nodes(), "m": graph.number_of_edges()}
+    """The standard instance-metadata dict (``n``, ``m``, caller extras).
+
+    ``m`` is the cached edge count of the graph's kernel when one is
+    already built (validation builds it), else networkx's degree sum;
+    no kernel is built just to count edges.
+    """
+    kernel = cached_kernel(graph)
+    m = graph.number_of_edges() if kernel is None else kernel.edge_count()
+    meta = {"n": graph.number_of_nodes(), "m": m}
     if extra:
         meta.update(extra)
     return meta

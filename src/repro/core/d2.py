@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Hashable
 
 import networkx as nx
+import numpy as np
 
 from repro.core.results import AlgorithmResult
 from repro.graphs.kernel import kernel_for
@@ -27,9 +28,9 @@ from repro.graphs.packed import (
     d2_members_packed,
     flags_from_bits,
     gamma_packed,
-    twin_survivor_indices,
     uncovered_component_roots,
 )
+from repro.graphs.twins import twin_fixpoint
 
 Vertex = Hashable
 
@@ -53,6 +54,26 @@ def d2_set(graph: nx.Graph) -> set[Vertex]:
     return kernel.labels_of(d2_members_packed(kernel))
 
 
+def twin_free_d2_flags(graph: nx.Graph) -> np.ndarray:
+    """``D₂(G⁻)`` as read-only boolean flags over ``graph``'s kernel indices.
+
+    ``G⁻`` is the twin-free graph of :func:`~repro.graphs.twins.twin_fixpoint`;
+    removed twins are never flagged.  Memoised in ``kernel_for(graph).memo``
+    under ``"d2"``, so ``d2`` and ``d2_vc`` on one graph compute it once.
+    """
+    kernel = kernel_for(graph)
+    flags = kernel.memo.get("d2")
+    if flags is None:
+        packed = kernel.packed()
+        survivors, _ = twin_fixpoint(graph)
+        reduced = packed if survivors.size == packed.n else packed.induced(survivors)
+        flags = np.zeros(packed.n, dtype=bool)
+        flags[survivors] = flags_from_bits(d2_members_packed(reduced), reduced.n)
+        flags.flags.writeable = False
+        kernel.memo["d2"] = flags
+    return flags
+
+
 def d2_dominating_set(graph: nx.Graph) -> AlgorithmResult:
     """Theorem 4.4's algorithm: twin reduction, then output ``D₂``.
 
@@ -64,20 +85,21 @@ def d2_dominating_set(graph: nx.Graph) -> AlgorithmResult:
     if graph.number_of_nodes() == 0:
         return AlgorithmResult(name="d2", solution=set(), rounds=0)
     kernel = kernel_for(graph).packed()
-    survivors, _ = twin_survivor_indices(kernel)
-    reduced = kernel.induced(survivors)
-    chosen = flags_from_bits(d2_members_packed(reduced), reduced.n)
+    survivors, _ = twin_fixpoint(graph)
+    chosen = twin_free_d2_flags(graph).copy()
     # A single vertex (after twin reduction a K_n collapses to one) has
-    # gamma undefined; it must dominate itself.  ``induced`` keeps labels
-    # in kernel (repr) order, so a component's lowest index is its
-    # repr-least vertex.
-    chosen[uncovered_component_roots(reduced, chosen)] = True
-    solution = reduced.labels_of(bits_from_flags(chosen))
+    # gamma undefined; it must dominate itself.  Removing a twin keeps
+    # its component connected, and a removed twin's representative has
+    # a lower index, so each component of ``G⁻`` is a component of ``G``
+    # with the same lowest index.  Kernel index order is repr order, so
+    # each root is its component's repr-least vertex.
+    chosen[uncovered_component_roots(kernel, chosen)] = True
+    solution = kernel.labels_of(bits_from_flags(chosen))
     return AlgorithmResult(
         name="d2",
         solution=solution,
         rounds=D2_ROUNDS,
         phases={"d2": set(solution)},
         round_breakdown={"total": D2_ROUNDS},
-        metadata={"twin_free_size": reduced.n},
+        metadata={"twin_free_size": int(survivors.size)},
     )

@@ -77,8 +77,9 @@ The two kernels are mirror views of one CSR, each cached with the
 kernel it was built from:
 
 * :meth:`GraphKernel.packed` hands the whole-graph pipelines — the
-  set-cover greedy, ``D₂``/``γ``, true-twin reduction and the
-  distributed greedy — their one CSR-array core, on either backend
+  set-cover greedy, ``D₂``/``γ``, true-twin reduction, the ``D₂``
+  vertex cover, vertex-cover validation and the distributed greedy —
+  their one CSR-array core, on either backend
   (``PackedGraphKernel.packed`` returns the kernel itself).
   ``two_packing_lower_bound`` keeps one core per backend (its int loop
   is faster at every size it was measured at).
@@ -374,14 +375,9 @@ class GraphKernel:
         return self.indptr[index + 1] - self.indptr[index]
 
     def edge_count(self) -> int:
-        """Number of undirected edges (self-loops counted once)."""
-        indptr, indices = self.indptr, self.indices
-        loops = 0
-        for i in range(self.n):
-            pos = bisect_left(indices, i, indptr[i], indptr[i + 1])
-            if pos < indptr[i + 1] and indices[pos] == i:
-                loops += 1
-        return (len(indices) - loops) // 2 + loops
+        """Number of undirected edges (self-loops counted once), counted
+        once on the :meth:`packed` view and cached there."""
+        return self.packed().edge_count()
 
     # -- domination primitives ----------------------------------------------
 
@@ -864,6 +860,26 @@ def kernel_for(graph: nx.Graph, backend: str | None = None) -> GraphKernel:
             _guard_record(graph, kernel)
     except TypeError:  # graph type that cannot be weak-referenced
         pass
+    return kernel
+
+
+def cached_kernel(graph: nx.Graph):
+    """The kernel :func:`kernel_for` cached for ``graph`` (of either
+    backend), or ``None`` when there is none — this never builds one.
+
+    Lets callers reuse what a kernel already knows (its edge count)
+    without paying for a build when nothing else needs the kernel.
+    """
+    if isinstance(graph, KernelView):
+        return graph.kernel
+    try:
+        kernel = _KERNELS.get(graph)
+    except TypeError:  # graph type that cannot be weak-referenced
+        return None
+    if kernel is None or kernel.n != graph.number_of_nodes():
+        return None
+    if _KERNEL_GUARD:
+        _guard_verify(graph, kernel)
     return kernel
 
 

@@ -410,11 +410,15 @@ class PackedGraphKernel:
         index_of = self.index_of
         return np.fromiter((index_of[v] for v in verts), dtype=np.int64, count=len(verts))
 
-    def bits_of(self, vertices: Iterable[Vertex]) -> int:
-        """Bitset mask of an iterable of vertex labels."""
+    def flags_of(self, vertices: Iterable[Vertex]) -> np.ndarray:
+        """Boolean flags (kernel index order) of an iterable of vertex labels."""
         flags = np.zeros(self.n, dtype=bool)
         flags[self._indices_of_labels(vertices)] = True
-        return bits_from_flags(flags)
+        return flags
+
+    def bits_of(self, vertices: Iterable[Vertex]) -> int:
+        """Bitset mask of an iterable of vertex labels."""
+        return bits_from_flags(self.flags_of(vertices))
 
     def labels_of(self, mask: int) -> set:
         """Vertex labels of the set bits of ``mask``."""

@@ -18,6 +18,11 @@ hashing a ``frozenset`` per vertex, and the iterated removal is
 :func:`repro.graphs.packed.twin_survivor_indices`, a fixpoint over a
 shrinking survivor array on either kernel backend — the reduced graph
 is materialized once at the end, not mutated per round.
+
+The fixpoint is memoised in ``kernel_for(graph).memo`` by
+:func:`twin_fixpoint`, so ``d2``, ``d2_vc``, :func:`twin_free_graph`
+and :func:`remove_true_twins` (and through them ``algorithm1`` and
+``algorithm2``) run it once per kernel, not once per algorithm.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from __future__ import annotations
 from typing import Hashable
 
 import networkx as nx
+import numpy as np
 
 from repro.graphs.kernel import kernel_for
 from repro.graphs.packed import twin_survivor_indices
@@ -61,6 +67,23 @@ def has_true_twins(graph: nx.Graph) -> bool:
     return len(set(_closed_keys(kernel))) < kernel.n
 
 
+def twin_fixpoint(graph: nx.Graph) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`~repro.graphs.packed.twin_survivor_indices` of ``graph``'s
+    kernel, memoised in its ``memo`` under ``"twins"``.
+
+    Returns ``(survivors, representative)`` in kernel indices; both
+    arrays are read-only because every caller shares them.
+    """
+    kernel = kernel_for(graph)
+    cached = kernel.memo.get("twins")
+    if cached is None:
+        cached = twin_survivor_indices(kernel.packed())
+        for array in cached:
+            array.flags.writeable = False
+        kernel.memo["twins"] = cached
+    return cached
+
+
 def twin_representative(cls: set[Vertex]) -> Vertex:
     """Deterministic representative of a twin class (min by repr order)."""
     return min(cls, key=repr)
@@ -78,14 +101,14 @@ def remove_true_twins(graph: nx.Graph) -> tuple[nx.Graph, dict[Vertex, Vertex]]:
     because a removed twin has the same closed neighborhood as its
     representative.
 
-    The fixpoint is :func:`repro.graphs.packed.twin_survivor_indices`
-    on the kernel's CSR; only the reduced graph is an ``nx`` subgraph,
-    so callers needing a graph-free reduction use that function
-    directly (as the D₂ pipeline does).
+    The fixpoint is :func:`twin_fixpoint` on the kernel's CSR; only the
+    reduced graph is an ``nx`` subgraph, so callers needing a
+    graph-free reduction use that function directly (as the D₂ and
+    vertex-cover pipelines do).
     """
     kernel = kernel_for(graph)
     labels = kernel.labels
-    survivor_idx, representative = twin_survivor_indices(kernel.packed())
+    survivor_idx, representative = twin_fixpoint(graph)
     mapping = {labels[i]: labels[rep] for i, rep in enumerate(representative.tolist())}
     reduced = graph.subgraph([labels[i] for i in survivor_idx.tolist()]).copy()
     return reduced, mapping
@@ -101,7 +124,7 @@ def twin_free_graph(graph: nx.Graph) -> nx.Graph:
     other callers on the same graph, so the result must not be mutated.
     """
     kernel = kernel_for(graph)
-    survivor_idx, _ = twin_survivor_indices(kernel.packed())
+    survivor_idx, _ = twin_fixpoint(graph)
     if len(survivor_idx) == kernel.n:
         return graph
     labels = kernel.labels

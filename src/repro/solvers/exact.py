@@ -24,6 +24,7 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import csr_matrix
 
+from repro.graphs.kernel import kernel_for
 from repro.graphs.util import closed_neighborhood, closed_neighborhood_of_set
 
 Vertex = Hashable
@@ -92,11 +93,25 @@ def _minimalise(graph: nx.Graph, solution: set[Vertex], targets: set[Vertex]) ->
 
 
 def minimum_dominating_set(graph: nx.Graph) -> set[Vertex]:
-    """Exact minimum dominating set of ``graph`` (components solved separately)."""
+    """Exact minimum dominating set of ``graph`` (components solved separately).
+
+    Components come from one ``scipy.sparse.csgraph`` labelling of the
+    kernel CSR, and each is solved as ``MDS(G, component)`` on ``graph``
+    itself: a component is closed under neighborhoods, so that is the
+    component's own MILP, and no per-component subgraph or kernel is
+    built.
+    """
+    from scipy.sparse.csgraph import connected_components
+
+    kernel = kernel_for(graph).packed()
+    count, component = connected_components(kernel.adjacency(), directed=False)
+    order = np.argsort(component, kind="stable")
+    bounds = np.searchsorted(component[order], np.arange(count + 1))
+    labels = kernel.labels
     solution: set[Vertex] = set()
-    for component in nx.connected_components(graph):
-        sub = graph.subgraph(component)
-        solution |= minimum_b_dominating_set(sub, component)
+    for k in range(count):
+        members = [labels[i] for i in order[bounds[k] : bounds[k + 1]].tolist()]
+        solution |= minimum_b_dominating_set(graph, members)
     return solution
 
 

@@ -15,12 +15,26 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import csr_matrix
 
+from repro.graphs.kernel import kernel_for
+
 Vertex = Hashable
 
 
 def is_vertex_cover(graph: nx.Graph, cover: set[Vertex]) -> bool:
-    """Return whether ``cover`` touches every edge of ``graph``."""
-    return all(u in cover or v in cover for u, v in graph.edges)
+    """Return whether ``cover`` touches every edge of ``graph``.
+
+    One flag gather over the kernel CSR: the cover fails iff some edge
+    slot has neither its row nor its column flagged (a self-loop needs
+    its vertex).  Labels outside ``V(G)`` cover nothing.
+    """
+    kernel = kernel_for(graph).packed()
+    try:
+        flags = kernel.flags_of(cover)
+    except KeyError:
+        index_of = kernel.index_of
+        flags = kernel.flags_of([v for v in cover if v in index_of])
+    bare_rows = np.repeat(~flags, np.diff(kernel.indptr))
+    return not (bare_rows & ~flags[kernel.indices]).any()
 
 
 def minimum_vertex_cover(graph: nx.Graph) -> set[Vertex]:
@@ -50,9 +64,12 @@ def minimum_vertex_cover(graph: nx.Graph) -> set[Vertex]:
         raise RuntimeError(f"MILP solver failed: {result.message}")
     cover = {nodes[i] for i in np.flatnonzero(np.round(result.x) > 0.5)}
     # Canonicalise: drop redundancies if any rounding slack crept in.
+    # In a valid cover only v's own edges can lose cover when v leaves,
+    # so v is redundant iff it has no self-loop and all its neighbours
+    # are in the cover.
     for v in sorted(cover, key=repr):
-        if is_vertex_cover(graph, cover - {v}):
-            cover = cover - {v}
+        if all(u != v and u in cover for u in graph.neighbors(v)):
+            cover.discard(v)
     return cover
 
 

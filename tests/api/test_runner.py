@@ -7,6 +7,7 @@ from repro.api import (
     RunConfig,
     UnknownAlgorithmError,
     UnsupportedModeError,
+    algorithm_names,
     solve,
     solve_many,
 )
@@ -14,6 +15,8 @@ from repro.core.algorithm1 import algorithm1
 from repro.core.d2 import d2_dominating_set
 from repro.core.radii import RadiusPolicy
 from repro.graphs.families import get_family
+from repro.graphs.kernel import GraphKernel, KernelView
+from repro.graphs.packed import PackedGraphKernel
 from repro.solvers.exact import minimum_dominating_set
 
 
@@ -86,6 +89,28 @@ class TestSolve:
         fast = solve(graph, "algorithm1")
         simulated = solve(graph, "algorithm1", RunConfig(mode="simulate"))
         assert simulated.solution == fast.solution
+
+
+class TestKernelViews:
+    """Every registered algorithm runs on a :class:`KernelView` of either
+    backend and reports what it reports on the ``nx.Graph``."""
+
+    @pytest.mark.parametrize("validate", ["valid", "ratio"])
+    @pytest.mark.parametrize(
+        "build", [GraphKernel, PackedGraphKernel.from_graph], ids=["int", "packed"]
+    )
+    def test_every_algorithm_on_views(self, build, validate):
+        graph = get_family("ladder").make(12, 0)
+        graph.add_edges_from([(100, 101), (101, 102)])  # a second component
+        config = RunConfig(validate=validate)
+        view = KernelView(build(graph))
+        for name in algorithm_names():
+            report = solve(view, name, config)
+            direct = solve(graph, name, config)
+            assert report.valid is True, name
+            assert report.solution == direct.solution, name
+            assert report.optimum_size == direct.optimum_size, name
+            assert report.instance == direct.instance, name
 
 
 def _payload(reports):

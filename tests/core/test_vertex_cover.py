@@ -1,9 +1,15 @@
 """Tests for the MVC variants."""
 
 import networkx as nx
+import pytest
 
+from repro.api import RunConfig, solve
+from repro.core.d2 import d2_dominating_set
 from repro.core.vertex_cover import d2_vertex_cover, local_cuts_vertex_cover
 from repro.graphs import generators as gen
+from repro.graphs import twins
+from repro.graphs.kernel import GraphKernel, KernelView
+from repro.graphs.packed import PackedGraphKernel
 from repro.graphs.random_families import random_outerplanar, random_tree
 from repro.solvers.vc import is_vertex_cover, vertex_cover_number
 
@@ -80,4 +86,32 @@ class TestD2Vc:
     def test_patch_metadata(self, small_zoo):
         for g in small_zoo:
             result = d2_vertex_cover(g)
-            assert "patched_vertices" in result.metadata
+            assert result.metadata["patched_vertices"] == len(result.phases["patch"])
+            assert set().union(*result.phases.values()) == result.solution
+
+    @pytest.mark.parametrize("validate", ["valid", "ratio"])
+    @pytest.mark.parametrize("build", [GraphKernel, PackedGraphKernel.from_graph])
+    def test_runs_on_kernel_view(self, build, validate):
+        g = gen.fan(10)
+        g.add_edges_from([(100, 0), (200, 201)])
+        report = solve(KernelView(build(g)), "d2_vc", RunConfig(validate=validate))
+        assert report.valid is True
+        assert report.result.solution == d2_vertex_cover(g).solution
+        if validate == "ratio":
+            assert report.optimum_size == vertex_cover_number(g)
+
+    def test_twin_fixpoint_runs_once_per_kernel(self, monkeypatch):
+        calls = []
+        original = twins.twin_survivor_indices
+
+        def counting(kernel):
+            calls.append(kernel.n)
+            return original(kernel)
+
+        monkeypatch.setattr(twins, "twin_survivor_indices", counting)
+        g = gen.fan(12)
+        d2_dominating_set(g)
+        d2_vertex_cover(g)
+        twins.twin_free_graph(g)
+        twins.remove_true_twins(g)
+        assert calls == [g.number_of_nodes()]

@@ -97,3 +97,45 @@ class TestBDomination:
             full = minimum_dominating_set(g)
             restricted = minimum_b_dominating_set(g, g.nodes)
             assert len(full) == len(restricted)
+
+
+def _legacy_minimum_dominating_set(graph):
+    """The component split before it moved onto the kernel CSR."""
+    solution = set()
+    for component in nx.connected_components(graph):
+        sub = graph.subgraph(component)
+        solution |= minimum_b_dominating_set(sub, component)
+    return solution
+
+
+class TestComponentSplit:
+    def test_matches_subgraph_split(self, small_zoo):
+        disjoint = [
+            nx.disjoint_union_all([gen.fan(5), gen.cycle(7), gen.path(1)]),
+            nx.union(gen.ladder(4), nx.relabel_nodes(gen.star(5), lambda v: f"s{v}")),
+            nx.disjoint_union(nx.complete_graph(4), nx.complete_bipartite_graph(2, 4)),
+        ]
+        for g in list(small_zoo) + disjoint + list(nx.graph_atlas_g()[1:200]):
+            assert minimum_dominating_set(g) == _legacy_minimum_dominating_set(g)
+
+    def test_builds_no_component_kernels(self, monkeypatch):
+        from repro.graphs.kernel import GraphKernel
+        from repro.graphs.packed import PackedGraphKernel
+
+        built = []
+        int_init = GraphKernel.__init__
+        packed_build = PackedGraphKernel.from_graph.__func__
+
+        def counting_init(self, graph):
+            built.append(graph.number_of_nodes())
+            int_init(self, graph)
+
+        def counting_build(cls, graph):
+            built.append(graph.number_of_nodes())
+            return packed_build(cls, graph)
+
+        monkeypatch.setattr(GraphKernel, "__init__", counting_init)
+        monkeypatch.setattr(PackedGraphKernel, "from_graph", classmethod(counting_build))
+        g = nx.disjoint_union_all([gen.fan(5), gen.cycle(7), gen.path(3)])
+        minimum_dominating_set(g)
+        assert built == [g.number_of_nodes()]

@@ -63,3 +63,13 @@ class TestApproximations:
 
     def test_is_vertex_cover_rejects(self, path5):
         assert not is_vertex_cover(path5, {0})
+
+    def test_is_vertex_cover_self_loops_and_foreign_labels(self, path5):
+        # a self-loop is covered only by its own vertex; labels outside
+        # V(G) cover nothing and are not an error
+        assert is_vertex_cover(path5, {1, 3, "ghost", 99})
+        assert not is_vertex_cover(path5, {1, "ghost"})
+        looped = nx.Graph([(0, 1), (1, 1), (2, 2)])
+        assert not is_vertex_cover(looped, {1})
+        assert is_vertex_cover(looped, {1, 2})
+        assert is_vertex_cover(nx.empty_graph(3), set())
