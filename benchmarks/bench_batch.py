@@ -244,7 +244,7 @@ def measure_wire(instances, algorithm_count, repeats):
         total = 0
         for _, graph in instances:
             blob = pickle.dumps(
-                kernel_for(graph).to_wire(), protocol=pickle.HIGHEST_PROTOCOL
+                kernel_for(graph).packed().to_wire(), protocol=pickle.HIGHEST_PROTOCOL
             )
             total += len(blob)
             graph_from_wire(pickle.loads(blob))

@@ -100,9 +100,13 @@ def family_edges(family: str, n: int):
 
 
 def build_view(family: str, n: int):
-    from repro.graphs.kernel import KernelView, kernel_from_edges
+    from repro.graphs.kernel import KernelView, kernel_from_edges, set_kernel_backend
 
-    return KernelView(kernel_from_edges(family_edges(family, n), n=n, backend="packed"))
+    previous = set_kernel_backend("packed")
+    try:
+        return KernelView(kernel_from_edges(family_edges(family, n), n=n))
+    finally:
+        set_kernel_backend(previous[0], threshold=previous[1])
 
 
 # -- one measurement cell (runs in a fresh subprocess) --------------------
@@ -192,11 +196,11 @@ def differential_cell(family: str, n: int) -> dict:
         # resolves to, and the solvers go through kernel_for again.
         previous = set_kernel_backend(backend)
         try:
-            instance = kernel_from_edges(family_edges(family, n), n=n, backend=backend)
+            instance = kernel_from_edges(family_edges(family, n), n=n)
             if backend == "packed":
                 instance = KernelView(instance)
             else:
-                instance = graph_from_wire(instance.to_wire())
+                instance = graph_from_wire(instance.packed().to_wire())
             outputs[backend] = {
                 "greedy": sorted(greedy_dominating_set(instance)),
                 "d2": sorted(d2_dominating_set(instance).solution),

@@ -331,7 +331,7 @@ def instance_meta(graph, extra: Mapping | None = None) -> dict:
     no kernel is built just to count edges.
     """
     kernel = cached_kernel(graph)
-    m = graph.number_of_edges() if kernel is None else kernel.edge_count()
+    m = graph.number_of_edges() if kernel is None else kernel.packed().edge_count()
     meta = {"n": graph.number_of_nodes(), "m": m}
     if extra:
         meta.update(extra)

@@ -202,7 +202,7 @@ def solve_many(
             reports.extend(_run_instance(meta, graph, algorithm_list, config))
         return reports
     tasks = [
-        (meta, kernel_for(graph).to_wire(), algorithm_list, config)
+        (meta, kernel_for(graph).packed().to_wire(), algorithm_list, config)
         for meta, graph in pairs
     ]
     chunksize = max(1, len(tasks) // (workers * 4))

@@ -1,20 +1,21 @@
-"""Compact graph kernel: CSR adjacency + closed-neighborhood bitsets.
+"""Compact graph kernel: one CSR core, plus a closed-neighborhood bitset table.
 
 Every hot loop in the reproduction — domination checks, greedy residual
 spans, ``N^r[v]`` balls, and the simulation engine's delivery routing —
 used to re-walk ``nx.Graph`` adjacency dictionaries, allocating a fresh
-Python set per call.  :class:`GraphKernel` is the shared compact
-representation those loops run on instead:
+Python set per call.  The kernel is the shared compact representation
+those loops run on instead:
 
 * vertices are relabelled to ``0..n-1`` in deterministic ``repr`` order
   (the same ordering :func:`repro.graphs.util.relabel_to_integers` and
   the port-numbered :class:`~repro.local_model.network.Network` use, so
   kernel index order *is* port order);
-* adjacency is stored once in CSR form (``indptr``/``indices`` as
-  ``array('q')``), each row sorted by neighbor index;
-* every closed neighborhood ``N[v]`` is precomputed as a Python-int
-  bitset, so ``N[S]`` is a loop of ``|S|`` bitwise ORs and a residual
-  span is a single ``int.bit_count()``.
+* adjacency is stored once in CSR form, each row sorted by neighbor
+  index, in a :class:`~repro.graphs.packed.PackedGraphKernel`;
+* for the int-mask searches, :class:`GraphKernel` adds every closed
+  neighborhood ``N[v]`` as a Python-int bitset, so ``N[S]`` is a loop
+  of ``|S|`` bitwise ORs and a residual span is a single
+  ``int.bit_count()``.
 
 Caching contract
 ----------------
@@ -48,51 +49,38 @@ Masks are plain Python ints on both backends: bit ``i`` set means
 Two backends, one contract
 --------------------------
 
-Memory profile of this (int) backend: the precomputed
-closed-neighborhood bitsets hold one ``n``-bit int per vertex —
-O(n²/8) bytes in the worst case (~12 MB at n = 10⁴, ~1.2 GB at
-n = 10⁵) — so it targets the 10³–10⁴ range the experiment workloads
-live in.  Beyond that, :func:`kernel_for` automatically switches to
-the **packed backend** (:class:`repro.graphs.packed.PackedGraphKernel`):
-CSR adjacency in numpy ``int64`` arrays, the same int masks, and —
-the load-bearing invariant — **no precomputed per-node
-closed-neighborhood masks**; every primitive is a vectorized CSR scan,
-keeping memory O(n + m) words all the way to n ≈ 10⁶
-(BENCH_bigraph.json).
+Every kernel is ingested once, by one canonical-CSR builder
+(:func:`~repro.graphs.packed.csr_from_graph`, or the wire and edge-list
+readers), into a :class:`~repro.graphs.packed.PackedGraphKernel`:
+numpy ``int64`` CSR, O(n + m) words all the way to n ≈ 10⁶
+(BENCH_bigraph.json).  Each whole-graph primitive and pipeline — wires,
+edge counts, ports and back ports, the set-cover greedy, ``D₂``/``γ``,
+true-twin reduction, the two-packing bound, vertex-cover validation —
+has one implementation, on that CSR core.
 
-Selection is by node count against a threshold (default
-``8192``), overridable three ways: the ``REPRO_KERNEL_BACKEND``
-environment variable (``auto``/``int``/``packed``), the
-:func:`set_kernel_backend` API, or the ``backend=`` argument of
-:func:`kernel_for`/:func:`kernel_from_edges`.  Both backends share the
-canonical form — labels repr-sorted, CSR rows ascending, identical
-:class:`KernelWire` bytes — and one mask type, so a mask from either
-backend means the same vertex set, and differential tests pin the
-outputs equal.  Million-node instances should be built through
-:func:`kernel_from_edges` / :func:`kernel_from_edge_file` /
-:func:`read_wire` (never an ``nx.Graph``) and wrapped in
-:class:`KernelView` for the ``solve``/``solve_many`` front door.
+The int backend, :class:`GraphKernel`, is a bitset table over that CSR
+kernel: it holds the CSR kernel (:meth:`GraphKernel.packed`) and adds
+``closed_bits``, one ``n``-bit int per vertex — O(n²/8) bytes (~12 MB
+at n = 10⁴, ~1.2 GB at n = 10⁵) — with the mask primitives, ball walks
+and flood fills the int-mask searches run on.  Those searches — exact
+branch and bound with its ``PackingBound``, local cuts, cuts,
+interesting vertices, ``algorithm1`` and ``weak_diameter_mask`` — reach
+the table through ``bitsets()`` on either kernel; on a packed kernel
+that builds the same table once and caches it, and their memo entries
+live on it.  The table holds its CSR kernel and nothing points back, so
+no reference cycle forms.
 
-The two kernels are mirror views of one CSR, each cached with the
-kernel it was built from:
-
-* :meth:`GraphKernel.packed` hands the whole-graph pipelines — the
-  set-cover greedy, ``D₂``/``γ``, true-twin reduction, the ``D₂``
-  vertex cover, vertex-cover validation and the distributed greedy —
-  their one CSR-array core, on either backend
-  (``PackedGraphKernel.packed`` returns the kernel itself).
-  ``two_packing_lower_bound`` keeps one core per backend (its int loop
-  is faster at every size it was measured at).
-* :meth:`PackedGraphKernel.bitsets
-  <repro.graphs.packed.PackedGraphKernel.bitsets>` hands the int-mask
-  searches that read ``closed_bits`` — exact branch and bound with its
-  ``PackingBound``, local cuts, cuts, interesting vertices,
-  ``algorithm1`` and ``weak_diameter_mask`` — an int kernel built from
-  the packed kernel's CSR (``GraphKernel.bitsets`` returns the kernel
-  itself).  Their memo entries live on that view.  It costs up to
-  n²/8 bytes, so only those searches build it; whole-graph pipelines
-  and validation never do, and a packed kernel that never runs one
-  stays O(n + m).
+:func:`kernel_for` returns an int kernel below a node-count threshold
+(default ``8192``) and the packed kernel at or above it.  The choice
+has two override channels: the ``REPRO_KERNEL_BACKEND`` environment
+variable (``auto``/``int``/``packed``) and the
+:func:`set_kernel_backend` API.  Both backends share the canonical
+form and one mask type, so a mask from either means the same vertex
+set, and differential tests pin the outputs equal.  Million-node
+instances should be built through :func:`kernel_from_edges` /
+:func:`kernel_from_edge_file` / :func:`read_wire` (never an
+``nx.Graph``) and wrapped in :class:`KernelView` for the
+``solve``/``solve_many`` front door.
 """
 
 from __future__ import annotations
@@ -103,10 +91,16 @@ import pickle
 import traceback
 import weakref
 from array import array
-from bisect import bisect_left
 from typing import Hashable, Iterable, Iterator, NamedTuple
 
 import networkx as nx
+
+from repro.graphs.packed import (
+    PackedGraphKernel,
+    build_undirected_csr,
+    collect_edges,
+    csr_from_graph,
+)
 
 Vertex = Hashable
 
@@ -207,16 +201,18 @@ _BYTE_BITS = tuple(
 
 
 class GraphKernel:
-    """Immutable CSR + bitset snapshot of an ``nx.Graph``.
+    """The int backend: a closed-neighborhood bitset table over a CSR kernel.
 
     Build through :func:`kernel_for` (cached), not directly, unless you
     explicitly want an uncached snapshot.
 
-    This is the *int* backend: it precomputes one ``n``-bit closed
-    neighborhood per vertex (O(n²/8) bytes), which is what makes small
-    graphs fast and large graphs impossible — the packed backend keeps
-    the same API and mask type with no precomputed masks (see the
-    module docstring).
+    Every kernel's CSR is a :class:`~repro.graphs.packed.PackedGraphKernel`;
+    this class layers on it what the int-mask searches need — one
+    ``n``-bit closed neighborhood per vertex (``closed_bits``, O(n²/8)
+    bytes), the mask primitives that read it, and the ball walks and
+    flood fills.  Whole-graph work (wires, edge counts, ports, the
+    pipeline cores) runs on :meth:`packed`, the CSR kernel this table
+    was built over.
 
     ``memo`` is the one mutable part: a dict of results derived from
     this kernel, filled by the modules that compute them.
@@ -228,103 +224,54 @@ class GraphKernel:
         "n",
         "labels",
         "index_of",
-        "indptr",
-        "indices",
         "closed_bits",
         "full_mask",
-        "_back_ports",
+        "_csr",
+        "_indptr",
+        "_indices",
         "_dense_cut",
-        "_packed",
         "memo",
         "__weakref__",
     )
 
     def __init__(self, graph: nx.Graph):
-        labels: list[Vertex] = sorted(graph.nodes, key=repr)
-        index_of = {label: i for i, label in enumerate(labels)}
-        n = len(labels)
-        indptr = array("q", [0])
-        indices = array("q")
-        closed_bits: list[int] = []
-        for i, label in enumerate(labels):
-            row = sorted(index_of[u] for u in graph.neighbors(label))
-            indices.extend(row)
-            indptr.append(len(indices))
-            bits = 1 << i
-            for j in row:
-                bits |= 1 << j
-            closed_bits.append(bits)
-        self.n = n
-        self.labels = labels
-        self.index_of = index_of
-        self.indptr = indptr
-        self.indices = indices
-        self.closed_bits = closed_bits
-        self.full_mask = (1 << n) - 1
-        self._back_ports: array | None = None
-        # Ball walks go bitset-dense past this many visited vertices.
-        self._dense_cut = max(64, n >> 3)
-        self._packed = None
-        self.memo = {}
+        self._layer(PackedGraphKernel(*csr_from_graph(graph)))
 
     @classmethod
-    def _from_csr(cls, labels: list[Vertex], indptr: array, indices: array) -> "GraphKernel":
-        """Rebuild a kernel from already-canonical CSR parts.
-
-        ``labels`` must be repr-sorted and each CSR row ascending — the
-        invariants :meth:`to_wire` snapshots — so only the closed
-        bitsets need recomputing (no re-sort, no dict-driven walk of an
-        ``nx.Graph``).
-        """
+    def over(cls, csr: PackedGraphKernel) -> "GraphKernel":
+        """The bitset table over an already-built CSR kernel."""
         self = object.__new__(cls)
-        n = len(labels)
+        self._layer(csr)
+        return self
+
+    def _layer(self, csr: PackedGraphKernel) -> None:
+        indptr, indices = csr.rows()
         closed_bits: list[int] = []
-        for i in range(n):
+        for i in range(csr.n):
             bits = 1 << i
             for j in indices[indptr[i] : indptr[i + 1]]:
                 bits |= 1 << j
             closed_bits.append(bits)
-        self.n = n
-        self.labels = labels
-        self.index_of = {label: i for i, label in enumerate(labels)}
-        self.indptr = indptr
-        self.indices = indices
+        self.n = csr.n
+        self.labels = csr.labels
+        self.index_of = csr.index_of
         self.closed_bits = closed_bits
-        self.full_mask = (1 << n) - 1
-        self._back_ports = None
-        self._dense_cut = max(64, n >> 3)
-        self._packed = None
+        self.full_mask = csr.full_mask
+        self._csr = csr
+        self._indptr = indptr
+        self._indices = indices
+        # Ball walks go bitset-dense past this many visited vertices.
+        self._dense_cut = max(64, csr.n >> 3)
         self.memo = {}
-        return self
 
-    def to_wire(self) -> KernelWire:
-        """This kernel as a :class:`KernelWire` (labels + CSR bytes)."""
-        return KernelWire(tuple(self.labels), self.indptr.tobytes(), self.indices.tobytes())
-
-    def packed(self):
-        """This kernel's CSR as a :class:`~repro.graphs.packed.PackedGraphKernel`.
-
-        The whole-graph pipeline cores run on CSR arrays only; this view
-        hands them the kernel's own ``array('q')`` CSR through
-        ``np.frombuffer`` (no copy) and shares ``labels`` and
-        ``index_of``.  Built on first use, then cached with the kernel.
-        """
-        if self._packed is None:
-            import numpy as np
-
-            from repro.graphs.packed import PackedGraphKernel
-
-            view = PackedGraphKernel(
-                self.labels,
-                np.frombuffer(self.indptr, dtype=np.int64),
-                np.frombuffer(self.indices, dtype=np.int64),
-            )
-            view._index_of = self.index_of
-            self._packed = view
-        return self._packed
+    def packed(self) -> PackedGraphKernel:
+        """The CSR kernel this table was built over (shared labels and
+        ``index_of``): the whole-graph primitives and pipeline cores run
+        on it."""
+        return self._csr
 
     def bitsets(self) -> "GraphKernel":
-        """This kernel itself (the packed kernel's method returns a view)."""
+        """This kernel itself (the packed kernel's method builds one)."""
         return self
 
     # -- label <-> index <-> mask conversions --------------------------------
@@ -366,18 +313,6 @@ class GraphKernel:
                     result.add(labels[base + j])
             base += 8
         return result
-
-    def neighbor_row(self, index: int) -> array:
-        """CSR row of ``index``: neighbor indices, sorted ascending."""
-        return self.indices[self.indptr[index] : self.indptr[index + 1]]
-
-    def degree(self, index: int) -> int:
-        return self.indptr[index + 1] - self.indptr[index]
-
-    def edge_count(self) -> int:
-        """Number of undirected edges (self-loops counted once), counted
-        once on the :meth:`packed` view and cached there."""
-        return self.packed().edge_count()
 
     # -- domination primitives ----------------------------------------------
 
@@ -451,7 +386,7 @@ class GraphKernel:
     def _ball_walk(self, start: Iterable[int], radius: int) -> tuple[bool, object]:
         """BFS core; returns ``(dense, seen)`` — a bitset when ``dense``,
         an index set otherwise."""
-        indptr, indices = self.indptr, self.indices
+        indptr, indices = self._indptr, self._indices
         cut = self._dense_cut
         seen = set(start)
         frontier = list(seen)
@@ -569,27 +504,6 @@ class GraphKernel:
             return True
         return self.component_bits(mask & -mask, mask) == mask
 
-    # -- engine routing ------------------------------------------------------
-
-    def back_ports(self) -> array:
-        """Per-edge-slot back ports, aligned with ``indices``.
-
-        For the directed slot ``s`` in row ``u`` pointing at ``v``,
-        ``back_ports()[s]`` is the position of ``u`` inside row ``v`` —
-        i.e. the receiver port a message sent on ``u``'s port
-        ``s - indptr[u]`` lands on.  Rows are sorted, so the reverse
-        slot is found by binary search; computed once, then cached.
-        """
-        if self._back_ports is None:
-            indptr, indices = self.indptr, self.indices
-            back = array("q", bytes(8 * len(indices)))
-            for u in range(self.n):
-                for s in range(indptr[u], indptr[u + 1]):
-                    v = indices[s]
-                    back[s] = bisect_left(indices, u, indptr[v], indptr[v + 1]) - indptr[v]
-            self._back_ports = back
-        return self._back_ports
-
 
 _KERNELS: "weakref.WeakKeyDictionary[nx.Graph, GraphKernel]"
 # repro: ignore[RPR002] the one per-graph cache; everything derived from a
@@ -697,14 +611,12 @@ def _guard_verify(graph: nx.Graph, kernel) -> None:
 # the threshold can be forced for testing either backend at any size.
 
 _BACKEND_ENV = "REPRO_KERNEL_BACKEND"
-_THRESHOLD_ENV = "REPRO_KERNEL_PACKED_THRESHOLD"
 _BACKENDS = ("auto", "int", "packed")
-_DEFAULT_PACKED_THRESHOLD = 8192
 
 _KERNEL_BACKEND = os.environ.get(_BACKEND_ENV, "auto") or "auto"
 if _KERNEL_BACKEND not in _BACKENDS:  # pragma: no cover - env misconfiguration
     raise ValueError(f"{_BACKEND_ENV} must be one of {_BACKENDS}, got {_KERNEL_BACKEND!r}")
-_PACKED_THRESHOLD = int(os.environ.get(_THRESHOLD_ENV, _DEFAULT_PACKED_THRESHOLD))
+_PACKED_THRESHOLD = 8192
 
 
 def set_kernel_backend(backend: str | None = None, *, threshold: int | None = None):
@@ -714,8 +626,8 @@ def set_kernel_backend(backend: str | None = None, *, threshold: int | None = No
     ``"packed"``; ``None`` leaves the current choice.  ``threshold`` is
     the node count at which ``"auto"`` switches to packed.  Returns the
     previous ``(backend, threshold)`` pair so tests can restore it.
-    Initial values come from ``REPRO_KERNEL_BACKEND`` and
-    ``REPRO_KERNEL_PACKED_THRESHOLD`` at import time.
+    The initial backend comes from ``REPRO_KERNEL_BACKEND`` at import
+    time; the initial threshold is ``8192``.
     """
     global _KERNEL_BACKEND, _PACKED_THRESHOLD
     previous = (_KERNEL_BACKEND, _PACKED_THRESHOLD)
@@ -733,13 +645,16 @@ def kernel_backend() -> tuple[str, int]:
     return (_KERNEL_BACKEND, _PACKED_THRESHOLD)
 
 
-def _resolve_backend(n: int, override: str | None = None) -> str:
-    choice = override if override is not None else _KERNEL_BACKEND
-    if choice not in _BACKENDS:
-        raise ValueError(f"backend must be one of {_BACKENDS}, got {choice!r}")
-    if choice == "auto":
+def _resolve_backend(n: int) -> str:
+    if _KERNEL_BACKEND == "auto":
         return "packed" if n >= _PACKED_THRESHOLD else "int"
-    return choice
+    return _KERNEL_BACKEND
+
+
+def _select(csr: PackedGraphKernel):
+    """``csr`` itself, or the int table over it, as the backend settings
+    select for its node count."""
+    return csr if _resolve_backend(csr.n) == "packed" else GraphKernel.over(csr)
 
 
 class KernelView:
@@ -765,7 +680,7 @@ class KernelView:
         return self.kernel.n
 
     def number_of_edges(self) -> int:
-        return self.kernel.edge_count()
+        return self.kernel.packed().edge_count()
 
     @property
     def nodes(self):
@@ -787,19 +702,22 @@ class KernelView:
         return vertex in self
 
     def neighbors(self, vertex):
-        kernel = self.kernel
-        labels = kernel.labels
-        for j in kernel.neighbor_row(kernel.index_of[vertex]):
+        csr = self.kernel.packed()
+        labels = csr.labels
+        indptr, indices = csr.rows()
+        i = csr.index_of[vertex]
+        for j in indices[indptr[i] : indptr[i + 1]]:
             yield labels[j]
 
     @property
     def edges(self):
-        kernel = self.kernel
-        labels = kernel.labels
+        csr = self.kernel.packed()
+        labels = csr.labels
+        indptr, indices = csr.rows()
         return (
-            (labels[i], labels[int(j)])
-            for i in range(kernel.n)
-            for j in kernel.neighbor_row(i)
+            (labels[i], labels[j])
+            for i in range(csr.n)
+            for j in indices[indptr[i] : indptr[i + 1]]
             if j >= i  # >= keeps self-loops listed once
         )
 
@@ -807,7 +725,7 @@ class KernelView:
         return f"KernelView(n={self.kernel.n}, backend={self.kernel.backend})"
 
 
-def kernel_for(graph: nx.Graph, backend: str | None = None) -> GraphKernel:
+def kernel_for(graph: nx.Graph) -> GraphKernel:
     """The cached :class:`GraphKernel` of ``graph`` (built on first use).
 
     **The mutation contract** (enforced by ``repro lint`` rule RPR001
@@ -831,14 +749,13 @@ def kernel_for(graph: nx.Graph, backend: str | None = None) -> GraphKernel:
     **Backend**: the result is an int-mask :class:`GraphKernel` below
     the packed threshold and a
     :class:`~repro.graphs.packed.PackedGraphKernel` at or above it
-    (see :func:`set_kernel_backend`); ``backend=`` forces the choice
-    for this call, and a cached kernel of the wrong backend is rebuilt
-    transparently.  A :class:`KernelView` short-circuits to its wrapped
-    kernel.
+    (see :func:`set_kernel_backend`); a cached kernel of the wrong
+    backend is rebuilt transparently.  A :class:`KernelView`
+    short-circuits to its wrapped kernel.
     """
     if isinstance(graph, KernelView):
         return graph.kernel
-    wanted = _resolve_backend(graph.number_of_nodes(), backend)
+    wanted = _resolve_backend(graph.number_of_nodes())
     kernel = _KERNELS.get(graph)
     if (
         kernel is not None
@@ -848,19 +765,18 @@ def kernel_for(graph: nx.Graph, backend: str | None = None) -> GraphKernel:
         if _KERNEL_GUARD:
             _guard_verify(graph, kernel)
         return kernel
-    if wanted == "packed":
-        from repro.graphs.packed import PackedGraphKernel
+    kernel = PackedGraphKernel.from_graph(graph) if wanted == "packed" else GraphKernel(graph)
+    _cache(graph, kernel)
+    return kernel
 
-        kernel = PackedGraphKernel.from_graph(graph)
-    else:
-        kernel = GraphKernel(graph)
+
+def _cache(graph: nx.Graph, kernel) -> None:
     try:
         _KERNELS[graph] = kernel
         if _KERNEL_GUARD:
             _guard_record(graph, kernel)
     except TypeError:  # graph type that cannot be weak-referenced
         pass
-    return kernel
 
 
 def cached_kernel(graph: nx.Graph):
@@ -887,52 +803,36 @@ def graph_from_wire(wire: KernelWire) -> nx.Graph:
     """Rebuild the graph a :class:`KernelWire` was snapshotted from.
 
     The returned ``nx.Graph`` has the wire's labels and edges, and its
-    :class:`GraphKernel` is reconstructed straight from the CSR bytes
-    and pre-seeded into the :func:`kernel_for` cache — a worker process
-    receiving a wire pays one linear pass, not a full kernel build, and
-    every kernel-backed primitive on the rebuilt graph is warm.
+    kernel is rebuilt straight from the CSR bytes and pre-seeded into
+    the :func:`kernel_for` cache — a worker process receiving a wire
+    pays one linear pass, not a full kernel build, and every
+    kernel-backed primitive on the rebuilt graph is warm.
     """
-    labels = list(wire.labels)
-    indptr = array("q")
-    indptr.frombytes(wire.indptr)
-    indices = array("q")
-    indices.frombytes(wire.indices)
+    kernel = kernel_from_wire(wire)
+    csr = kernel.packed()
+    labels = csr.labels
+    indptr, indices = csr.rows()
     graph = nx.Graph()
     graph.add_nodes_from(labels)
     graph.add_edges_from(
         (labels[u], labels[j])
-        for u in range(len(labels))
+        for u in range(csr.n)
         for j in indices[indptr[u] : indptr[u + 1]]
         if j >= u  # >= keeps self-loops round-tripping
     )
-    kernel = kernel_from_wire(wire)
-    try:
-        _KERNELS[graph] = kernel
-        if _KERNEL_GUARD:
-            _guard_record(graph, kernel)
-    except TypeError:  # graph type that cannot be weak-referenced
-        pass
+    _cache(graph, kernel)
     return graph
 
 
-def kernel_from_wire(wire: KernelWire, backend: str | None = None):
+def kernel_from_wire(wire: KernelWire):
     """Rebuild just the kernel from a wire (no graph object at all).
 
-    The backend follows the current selection settings (or ``backend=``),
-    so a worker process receiving a million-node wire reconstructs a
-    packed kernel straight from the CSR bytes — one ``frombuffer``, no
-    adjacency dicts, no mask table.
+    The CSR is one ``frombuffer`` over the wire bytes; the backend
+    follows the current selection settings, so a worker process
+    receiving a million-node wire gets a packed kernel with no
+    adjacency dicts and no mask table.
     """
-    n = len(wire.labels)
-    if _resolve_backend(n, backend) == "packed":
-        from repro.graphs.packed import PackedGraphKernel
-
-        return PackedGraphKernel.from_wire_parts(wire.labels, wire.indptr, wire.indices)
-    indptr = array("q")
-    indptr.frombytes(wire.indptr)
-    indices = array("q")
-    indices.frombytes(wire.indices)
-    return GraphKernel._from_csr(list(wire.labels), indptr, indices)
+    return _select(PackedGraphKernel.from_wire_parts(wire.labels, wire.indptr, wire.indices))
 
 
 def instance_from_wire(wire: KernelWire):
@@ -944,17 +844,14 @@ def instance_from_wire(wire: KernelWire):
     batch runners and sweep workers hand to ``solve``.
     """
     if _resolve_backend(len(wire.labels)) == "packed":
-        return KernelView(kernel_from_wire(wire, "packed"))
+        return KernelView(kernel_from_wire(wire))
     return graph_from_wire(wire)
 
 
 # -- streaming ingestion ----------------------------------------------------
 
 
-def kernel_from_edges(
-    edges: Iterable, *, n: int | None = None, nodes: Iterable | None = None,
-    backend: str | None = None,
-):
+def kernel_from_edges(edges: Iterable, *, n: int | None = None, nodes: Iterable | None = None):
     """Build a kernel straight from an edge iterable — no ``nx.Graph``.
 
     Streams ``edges`` once (buffered in bounded chunks), maps labels to
@@ -963,26 +860,14 @@ def kernel_from_edges(
     ingests in O(n + m) memory without ever touching adjacency dicts.
     ``n`` declares the vertex set as ``range(n)`` (so trailing isolated
     vertices survive); ``nodes`` adds explicit extra vertices; backend
-    selection follows :func:`kernel_for` unless forced.  Wrap the
+    selection follows :func:`kernel_for`.  Wrap the
     result in :class:`KernelView` to feed ``solve``/``solve_many``.
     """
-    from repro.graphs.packed import PackedGraphKernel, build_undirected_csr, collect_edges
-
     labels, us, vs = collect_edges(edges, n=n, nodes=nodes)
-    indptr, indices = build_undirected_csr(len(labels), us, vs)
-    if _resolve_backend(len(labels), backend) == "packed":
-        return PackedGraphKernel(labels, indptr, indices)
-    int_indptr = array("q")
-    int_indptr.frombytes(indptr.tobytes())
-    int_indices = array("q")
-    int_indices.frombytes(indices.tobytes())
-    return GraphKernel._from_csr(labels, int_indptr, int_indices)
+    return _select(PackedGraphKernel(labels, *build_undirected_csr(len(labels), us, vs)))
 
 
-def kernel_from_edge_file(
-    path, *, n: int | None = None, nodes: Iterable | None = None,
-    backend: str | None = None,
-):
+def kernel_from_edge_file(path, *, n: int | None = None, nodes: Iterable | None = None):
     """Build a kernel from a whitespace-separated edge-list file.
 
     One ``u v`` pair per line; blank lines and ``#`` comments are
@@ -999,7 +884,7 @@ def kernel_from_edge_file(
                 first, second = line.split()[:2]
                 yield int(first), int(second)
 
-    return kernel_from_edges(_edges(), n=n, nodes=nodes, backend=backend)
+    return kernel_from_edges(_edges(), n=n, nodes=nodes)
 
 
 # -- on-disk wire format ----------------------------------------------------

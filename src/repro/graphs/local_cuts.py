@@ -42,7 +42,7 @@ Both live in the kernel's ``memo``: a table under ``("balls", r)``
 ``(kind, r, minimal)``.  They go with the kernel, so
 ``invalidate_kernel(graph)`` and a kernel rebuild (node-count change)
 drop them.  Every search here runs on ``kernel_for(graph).bitsets()``:
-the int kernel itself, or a packed kernel's cached int-mask view, whose
+the int kernel itself, or a packed kernel's cached bitset table, whose
 memo then holds these entries.
 """
 

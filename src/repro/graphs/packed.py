@@ -1,16 +1,18 @@
-"""Numpy CSR backend: the kernel with no per-node mask table.
+"""Numpy CSR backend: the one CSR core every kernel is built on.
 
-The int-mask :class:`~repro.graphs.kernel.GraphKernel` precomputes one
-``n``-bit closed-neighborhood bitset per vertex — O(n²/8) bytes, which
-tops out around n ≈ 2000 (BENCH_kernel.json).  This module is the
-large-graph substrate behind the same kernel API:
+Every kernel is ingested here, once: :func:`csr_from_graph` for an
+``nx.Graph``, :func:`collect_edges` + :func:`build_undirected_csr` for
+edge streams, ``from_wire_parts`` for wires.  The int-mask
+:class:`~repro.graphs.kernel.GraphKernel` is a bitset table layered on
+a :class:`PackedGraphKernel`; at or above the packed threshold the
+CSR kernel is used on its own:
 
 * vertex sets are the same Python-int bitsets as on the int kernel
   (bit ``i`` = kernel index ``i``); the primitives convert them to and
   from numpy boolean flags through one pair of helpers,
   :func:`bits_from_flags` and :func:`flags_from_bits`;
 * adjacency is CSR in numpy ``int64`` arrays, rows sorted ascending —
-  the same canonical form the int kernel snapshots into ``KernelWire``;
+  the canonical form ``KernelWire`` snapshots;
 * **no per-node closed-neighborhood masks are precomputed** — that
   table is exactly the quadratic memory this backend exists to avoid.
   Every primitive (``dominates_vertices``, ``closed_neighborhood_bits``,
@@ -20,19 +22,18 @@ large-graph substrate behind the same kernel API:
 
 Backend selection lives in :func:`repro.graphs.kernel.kernel_for`
 (automatic by node count, overridable); this module never decides —
-it only implements.  Labels follow the same contract as the int
-kernel: kernel index order *is* repr-sorted label order, so greedy
-tie-breaks, component ordering, and port numbering agree bit-for-bit
-across backends.
+it only implements.  Kernel index order *is* repr-sorted label order,
+so greedy tie-breaks, component ordering, and port numbering agree
+bit-for-bit across backends.
 
-The two kernels are mirror views of one CSR.  The whole-graph pipeline
-cores at the bottom of this module (greedy cover, D₂, twin reduction)
-are the only implementations of those pipelines: an int kernel reaches
-them through its cached :meth:`~repro.graphs.kernel.GraphKernel.packed`
-view.  The int-mask searches that read ``closed_bits`` reach a packed
-kernel through its cached :meth:`PackedGraphKernel.bitsets` view, an
-int kernel built from the same CSR; that view costs up to n²/8 bytes,
-and only those searches ever build it.
+The whole-graph primitives (wires, edge counts, ports, back ports) and
+the pipeline cores at the bottom of this module (greedy cover, D₂, twin
+reduction, the two-packing bound) are the only implementations of that
+work: an int kernel reaches them through
+:meth:`~repro.graphs.kernel.GraphKernel.packed`, the CSR kernel it was
+built over.  The int-mask searches that read ``closed_bits`` reach a
+packed kernel through its cached :meth:`PackedGraphKernel.bitsets`
+table; that costs up to n²/8 bytes, and only those searches build it.
 """
 
 from __future__ import annotations
@@ -94,14 +95,18 @@ def build_undirected_csr(n: int, us: np.ndarray, vs: np.ndarray):
 
     ``us``/``vs`` hold one entry per undirected edge (self-loops
     allowed, listed once); the result stores both directions and a
-    self-loop once per row — the exact row content the int kernel
-    derives from ``nx.Graph`` adjacency.
+    self-loop once per row — the row content of ``nx.Graph``
+    adjacency.
     """
     us = np.asarray(us, dtype=np.int64)
     vs = np.asarray(vs, dtype=np.int64)
     loop = us == vs
-    rows = np.concatenate([us, vs[~loop]])
-    cols = np.concatenate([vs, us[~loop]])
+    return _csr_of_slots(n, np.concatenate([us, vs[~loop]]), np.concatenate([vs, us[~loop]]))
+
+
+def _csr_of_slots(n: int, rows: np.ndarray, cols: np.ndarray):
+    """CSR ``(indptr, indices)`` of directed ``(row, col)`` slots,
+    rows sorted and duplicate slots dropped."""
     if rows.size:
         order = np.lexsort((cols, rows))
         rows = rows[order]
@@ -114,6 +119,23 @@ def build_undirected_csr(n: int, us: np.ndarray, vs: np.ndarray):
     if rows.size:
         indptr[1:] = np.cumsum(np.bincount(rows, minlength=n))
     return indptr, np.ascontiguousarray(cols)
+
+
+def csr_from_graph(graph):
+    """The canonical kernel form of an ``nx.Graph``: ``(labels, indptr,
+    indices, index_of)``, labels repr-sorted and CSR rows ascending.
+
+    The one graph → CSR builder, behind both kernel classes.
+    """
+    labels = sorted(graph.nodes, key=repr)
+    index_of = {label: i for i, label in enumerate(labels)}
+    us: list[int] = []
+    vs: list[int] = []
+    for u, v in graph.edges:
+        us.append(index_of[u])
+        vs.append(index_of[v])
+    indptr, indices = build_undirected_csr(len(labels), us, vs)
+    return labels, indptr, indices, index_of
 
 
 def collect_edges(edges: Iterable, n: int | None = None, nodes: Iterable | None = None):
@@ -251,7 +273,7 @@ class PackedGraphKernel:
         "__weakref__",
     )
 
-    def __init__(self, labels: Sequence[Vertex], indptr, indices):
+    def __init__(self, labels: Sequence[Vertex], indptr, indices, index_of: dict | None = None):
         self.n = len(labels)
         self.labels = labels if isinstance(labels, list) else list(labels)
         self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
@@ -262,7 +284,7 @@ class PackedGraphKernel:
             self._labels_arr = None
         self._lab_sorted = None
         self._lab_sorted_idx = None
-        self._index_of = None
+        self._index_of = index_of
         self.full_mask = (1 << self.n) - 1
         self._closed = None
         self._back_ports = None
@@ -273,18 +295,7 @@ class PackedGraphKernel:
     @classmethod
     def from_graph(cls, graph) -> "PackedGraphKernel":
         """Build from an ``nx.Graph`` (labels repr-sorted, CSR canonical)."""
-        labels = sorted(graph.nodes, key=repr)
-        index_of = {label: i for i, label in enumerate(labels)}
-        m = graph.number_of_edges()
-        us = np.empty(m, dtype=np.int64)
-        vs = np.empty(m, dtype=np.int64)
-        for k, (u, v) in enumerate(graph.edges):
-            us[k] = index_of[u]
-            vs[k] = index_of[v]
-        indptr, indices = build_undirected_csr(len(labels), us, vs)
-        kernel = cls(labels, indptr, indices)
-        kernel._index_of = index_of
-        return kernel
+        return cls(*csr_from_graph(graph))
 
     @classmethod
     def from_wire_parts(cls, labels, indptr_bytes: bytes, indices_bytes: bytes):
@@ -294,8 +305,7 @@ class PackedGraphKernel:
         return cls(list(labels), indptr, indices)
 
     def to_wire(self):
-        """This kernel as a ``KernelWire`` — byte-identical to the int
-        backend's wire for the same graph (same labels, same CSR)."""
+        """This kernel as a ``KernelWire`` (labels + CSR bytes)."""
         from repro.graphs.kernel import KernelWire
 
         return KernelWire(tuple(self.labels), self.indptr.tobytes(), self.indices.tobytes())
@@ -309,31 +319,27 @@ class PackedGraphKernel:
         return self._index_of
 
     def packed(self) -> "PackedGraphKernel":
-        """This kernel itself (the int kernel's method returns a view)."""
+        """This kernel itself (an int kernel's returns the CSR kernel it
+        was built over)."""
         return self
 
     def bitsets(self):
-        """This kernel's CSR as an int-mask :class:`~repro.graphs.kernel.GraphKernel`.
+        """The int-mask :class:`~repro.graphs.kernel.GraphKernel` table over this CSR.
 
-        The mirror of :meth:`GraphKernel.packed
-        <repro.graphs.kernel.GraphKernel.packed>`: the int-mask searches
-        (local cuts, cuts, interesting vertices, ``algorithm1``, weak
-        diameters, branch and bound) read its ``closed_bits`` table and
-        keep their memo entries on it.  Built once on first use through
-        ``GraphKernel._from_csr``, then cached for this kernel's
-        lifetime.  The table costs up to n²/8 bytes, so only those
-        searches ever build it; whole-graph pipelines and validation
-        never do.
+        The int-mask searches (local cuts, cuts, interesting vertices,
+        ``algorithm1``, weak diameters, branch and bound) read its
+        ``closed_bits`` and keep their memo entries on it.  Built once
+        on first use, then cached for this kernel's lifetime.  The table
+        sits on a second CSR kernel that shares this one's arrays, so
+        nothing points back here and no reference cycle forms.  It costs
+        up to n²/8 bytes, so only those searches ever build it;
+        whole-graph pipelines and validation never do.
         """
         if self._bitsets is None:
-            from array import array
-
             from repro.graphs.kernel import GraphKernel
 
-            self._bitsets = GraphKernel._from_csr(
-                self.labels,
-                array("q", self.indptr.tobytes()),
-                array("q", self.indices.tobytes()),
+            self._bitsets = GraphKernel.over(
+                PackedGraphKernel(self.labels, self.indptr, self.indices, self.index_of)
             )
         return self._bitsets
 
@@ -356,22 +362,9 @@ class PackedGraphKernel:
         int backend's ``closed_bits`` table, without the n²-bit cost.
         """
         if self._closed is None:
-            n = self.n
-            arange = np.arange(n, dtype=np.int64)
+            arange = np.arange(self.n, dtype=np.int64)
             rows = np.concatenate([np.repeat(arange, np.diff(self.indptr)), arange])
-            cols = np.concatenate([self.indices, arange])
-            if rows.size:
-                order = np.lexsort((cols, rows))
-                rows = rows[order]
-                cols = cols[order]
-                keep = np.ones(rows.size, dtype=bool)
-                keep[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-                rows = rows[keep]
-                cols = cols[keep]
-            cind = np.zeros(n + 1, dtype=np.int64)
-            if rows.size:
-                cind[1:] = np.cumsum(np.bincount(rows, minlength=n))
-            self._closed = (cind, np.ascontiguousarray(cols))
+            self._closed = _csr_of_slots(self.n, rows, np.concatenate([self.indices, arange]))
         return self._closed
 
     def edge_count(self) -> int:
@@ -429,6 +422,11 @@ class PackedGraphKernel:
             return set(self._labels_arr[idx].tolist())
         labels = self.labels
         return {labels[i] for i in idx.tolist()}
+
+    def rows(self) -> tuple[memoryview, memoryview]:
+        """``(indptr, indices)`` as memoryviews: Python row walks read
+        plain ints from them, with no copy."""
+        return memoryview(self.indptr), memoryview(self.indices)
 
     def neighbor_row(self, index: int) -> np.ndarray:
         """CSR row of ``index``: neighbor indices, sorted ascending."""
@@ -497,8 +495,7 @@ class PackedGraphKernel:
 
         Sorting all directed slots by ``(col, row)`` enumerates, for
         each CSR slot ``s = (u, v)`` in order, exactly the reverse slot
-        ``(v, u)`` — one lexsort replaces the int backend's per-slot
-        binary search.
+        ``(v, u)``, so one lexsort finds every back port.
         """
         if self._back_ports is None:
             rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
@@ -578,11 +575,11 @@ def greedy_cover_packed(kernel: PackedGraphKernel, target_mask: int, candidate_m
 
 
 def two_packing_packed(kernel: PackedGraphKernel) -> int:
-    """Array form of ``two_packing_lower_bound`` — identical count.
+    """The greedy 2-packing behind ``two_packing_lower_bound``.
 
-    Same deterministic greedy: visit vertices by ascending ``(degree,
-    index)``, pick if unblocked, block the radius-2 ball — with the
-    blocked set as a boolean array and each ball two CSR gathers.
+    Visit vertices by ascending ``(degree, index)``, pick if unblocked,
+    block the radius-2 ball — with the blocked set as a boolean array
+    and each ball two CSR gathers.
     """
     n = kernel.n
     indptr, indices = kernel.indptr, kernel.indices

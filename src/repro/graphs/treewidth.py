@@ -97,28 +97,40 @@ def _decomposition_from_order(graph: nx.Graph, order: list[Vertex]) -> nx.Graph:
     return tree
 
 
+def _missing_pairs(work: nx.Graph, v: Vertex):
+    """The non-adjacent neighbor pairs of ``v``: its fill-in edges."""
+    for a, b in itertools.combinations(list(work.neighbors(v)), 2):
+        if not work.has_edge(a, b):
+            yield a, b
+
+
+def min_fill_order(graph: nx.Graph) -> list[Vertex]:
+    """The min-fill-in elimination order, ties to the repr-least vertex.
+
+    Each step takes the first vertex in repr order whose neighbors are
+    already a clique (fill 0; one early-exit test per vertex), and
+    counts exact fills only when no such vertex is left.
+    """
+    work = graph.copy()
+    remaining = sorted(work.nodes, key=repr)
+    order: list[Vertex] = []
+    while remaining:
+        v = next((u for u in remaining if next(_missing_pairs(work, u), None) is None), None)
+        if v is None:
+            v = min(remaining, key=lambda u: sum(1 for _ in _missing_pairs(work, u)))
+        order.append(v)
+        remaining.remove(v)
+        for a, b in itertools.combinations(list(work.neighbors(v)), 2):
+            work.add_edge(a, b)
+        work.remove_node(v)
+    return order
+
+
 def min_fill_decomposition(graph: nx.Graph) -> nx.Graph:
     """Tree decomposition via the min-fill-in elimination heuristic."""
     if graph.number_of_nodes() == 0:
         return nx.Graph()
-    work = graph.copy()
-    order: list[Vertex] = []
-    while work.number_of_nodes():
-        def fill_in(v: Vertex) -> int:
-            neighbors = list(work.neighbors(v))
-            missing = 0
-            for a, b in itertools.combinations(neighbors, 2):
-                if not work.has_edge(a, b):
-                    missing += 1
-            return missing
-
-        v = min(sorted(work.nodes, key=repr), key=fill_in)
-        order.append(v)
-        neighbors = list(work.neighbors(v))
-        for a, b in itertools.combinations(neighbors, 2):
-            work.add_edge(a, b)
-        work.remove_node(v)
-    return _decomposition_from_order(graph, order)
+    return _decomposition_from_order(graph, min_fill_order(graph))
 
 
 def treewidth_exact_small(graph: nx.Graph, node_limit: int = 9) -> int:

@@ -407,10 +407,10 @@ class SimulationEngine:
         self._shims: dict[Vertex, ByzantineShim] = {}
         # Adjacency-indexed delivery buffer: routes[v][port] is the
         # (receiver, back port) pair the message on that port lands on.
-        # Built straight off the graph kernel's CSR rows: the neighbor
-        # on port p of v is indices[indptr[i] + p], and the back port
-        # comes from the kernel's precomputed reverse-slot array — no
-        # per-edge dictionary chains.
+        # Built straight off the CSR kernel's rows: the neighbor on
+        # port p of v is indices[indptr[i] + p], and the back port comes
+        # from the kernel's reverse-slot array — no per-edge dictionary
+        # chains.
         self._routes: dict[Vertex, list[tuple[Node, int]]] = {}
         self._route_rows(network.kernel.labels)
 
@@ -419,8 +419,8 @@ class SimulationEngine:
         network's *current* kernel — the whole graph at construction,
         just the affected rows after a churn round."""
         kernel = self.network.kernel
-        indptr, indices = kernel.indptr, kernel.indices
-        back = kernel.back_ports()
+        indptr, indices = kernel.rows()
+        back = memoryview(kernel.back_ports())
         labels = kernel.labels
         nodes = self.network.nodes
         index_of = kernel.index_of

@@ -6,7 +6,8 @@ from typing import Hashable
 
 import networkx as nx
 
-from repro.graphs.kernel import GraphKernel, invalidate_kernel, kernel_for
+from repro.graphs.kernel import invalidate_kernel, kernel_for
+from repro.graphs.packed import PackedGraphKernel
 from repro.local_model.identifiers import identity_ids
 from repro.local_model.node import Node
 
@@ -18,9 +19,9 @@ class Network:
 
     Port order is the sorted order of neighbor labels — any fixed order
     is fine in the LOCAL model; sorting keeps simulations reproducible.
-    The ordering comes from the graph's :class:`GraphKernel` (kernel
-    index order *is* repr-sorted order), so ports are read straight off
-    the CSR rows instead of re-sorting every adjacency list.
+    The ordering comes from the graph's CSR kernel (kernel index order
+    *is* repr-sorted order), so ports are read straight off its rows
+    instead of re-sorting every adjacency list.
     """
 
     def __init__(self, graph: nx.Graph, ids: dict[Vertex, int] | None = None):
@@ -29,21 +30,29 @@ class Network:
         if any(u == v for u, v in graph.edges):
             raise ValueError("self-loops are not allowed")
         self.graph = graph
-        self.kernel: GraphKernel = kernel_for(graph)
+        self._use(kernel_for(graph).packed())
         self.ids = ids if ids is not None else identity_ids(graph)
         if set(self.ids) != set(graph.nodes):
             raise ValueError("identifier assignment must cover exactly V(G)")
         if len(set(self.ids.values())) != len(self.ids):
             raise ValueError("identifiers must be unique")
-        labels = self.kernel.labels
-        index_of = self.kernel.index_of
         self.nodes: dict[Vertex, Node] = {}
         # Node-dict order is graph.nodes order (not kernel order): the
         # engine walks nodes in this order, so it fixes the pairing of
         # messages with the fault-plan and delay RNG draws.
         for v in graph.nodes:
-            ports = [labels[j] for j in self.kernel.neighbor_row(index_of[v])]
-            self.nodes[v] = Node(vertex=v, uid=self.ids[v], ports=ports)
+            self.nodes[v] = Node(vertex=v, uid=self.ids[v], ports=self._ports(v))
+
+    def _use(self, kernel: PackedGraphKernel) -> None:
+        self.kernel = kernel
+        self._rows = kernel.rows()
+
+    def _ports(self, v: Vertex) -> list[Vertex]:
+        """``v``'s neighbor labels in port order (its CSR row)."""
+        labels = self.kernel.labels
+        indptr, indices = self._rows
+        i = self.kernel.index_of[v]
+        return [labels[j] for j in indices[indptr[i] : indptr[i + 1]]]
 
     @property
     def size(self) -> int:
@@ -93,7 +102,7 @@ class Network:
                     changed.discard(event.u)
         finally:
             invalidate_kernel(graph)
-        self.kernel = kernel_for(graph)
+        self._use(kernel_for(graph).packed())
         changed.difference_update(set(left) - set(joined))
         for v in left:
             self.nodes.pop(v, None)
@@ -102,16 +111,11 @@ class Network:
         for v in joined:
             self.ids[v] = next_uid
             next_uid += 1
-        labels = self.kernel.labels
-        index_of = self.kernel.index_of
         for v in joined:
-            ports = [labels[j] for j in self.kernel.neighbor_row(index_of[v])]
-            self.nodes[v] = Node(vertex=v, uid=self.ids[v], ports=ports)
+            self.nodes[v] = Node(vertex=v, uid=self.ids[v], ports=self._ports(v))
         for v in changed:
             if v in self.nodes and v not in joined:
-                self.nodes[v].ports = [
-                    labels[j] for j in self.kernel.neighbor_row(index_of[v])
-                ]
+                self.nodes[v].ports = self._ports(v)
         return changed, joined, left
 
     def outputs(self) -> dict[Vertex, object]:

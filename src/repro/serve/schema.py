@@ -182,7 +182,7 @@ def _parse_instance(spec: object):
             raise SpecError(f"instance 'meta' must be an object, got {meta!r}")
         try:
             graph = graph_from_dict(spec["graph"])
-            wire = kernel_for(graph).to_wire()
+            wire = kernel_for(graph).packed().to_wire()
         except (KeyError, TypeError, ValueError) as error:
             raise SpecError(f"invalid inline graph: {error}") from error
         return WireRef(wire_digest(wire), wire, meta)

@@ -63,7 +63,7 @@ class PackingBound:
 
     It reads the precomputed ``closed_bits`` table, so a packed kernel
     hands it its :meth:`~repro.graphs.packed.PackedGraphKernel.bitsets`
-    view.
+    table.
     """
 
     __slots__ = ("_order", "_block")
@@ -108,23 +108,9 @@ def degree_lower_bound(graph: nx.Graph) -> int:
 def two_packing_lower_bound(graph: nx.Graph) -> int:
     """Greedy 2-packing: pairwise distance-≥3 vertices (each needs its own
     dominator).  Deterministic greedy by ascending degree, then repr
-    (kernel index order *is* repr order), with the blocked set kept as a
-    kernel bitset and each radius-2 ball one kernel BFS.  On a packed
-    kernel (large graphs / :class:`~repro.graphs.kernel.KernelView`
-    instances) the same greedy runs as boolean-array CSR gathers."""
-    kernel = kernel_for(graph)
-    if kernel.backend == "packed":
-        return two_packing_packed(kernel)
-    labels = kernel.labels
-    blocked = 0
-    count = 0
-    order = sorted(range(kernel.n), key=lambda i: (kernel.degree(i), i))
-    for i in order:
-        if blocked >> i & 1:
-            continue
-        count += 1
-        blocked |= kernel.ball_bits(labels[i], 2)
-    return count
+    (kernel index order *is* repr order), run on the graph's CSR kernel
+    (:func:`~repro.graphs.packed.two_packing_packed`)."""
+    return two_packing_packed(kernel_for(graph).packed())
 
 
 def exact_two_packing(graph: nx.Graph) -> int:

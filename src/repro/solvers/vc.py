@@ -44,8 +44,13 @@ def minimum_vertex_cover(graph: nx.Graph) -> set[Vertex]:
     nodes = sorted(graph.nodes, key=repr)
     index = {v: i for i, v in enumerate(nodes)}
     # Canonical edge order: the MILP input must not depend on insertion
-    # order, so that independent observers (simulate mode) agree.
-    edges = sorted(tuple(sorted(e, key=repr)) for e in graph.edges)
+    # order, so that independent observers (simulate mode) agree.  Labels
+    # that do not compare (mixed types) are ordered by repr instead.
+    pairs = [tuple(sorted(e, key=repr)) for e in graph.edges]
+    try:
+        edges = sorted(pairs)
+    except TypeError:
+        edges = sorted(pairs, key=repr)
     rows, cols = [], []
     for row, (u, v) in enumerate(edges):
         rows.extend([row, row])

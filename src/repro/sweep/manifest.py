@@ -170,7 +170,7 @@ def _shard_digest(
 def _instance_refs(instances: Iterable) -> list[InstanceRef]:
     refs = []
     for meta, graph in _normalise_instances(instances):
-        wire = kernel_for(graph).to_wire()
+        wire = kernel_for(graph).packed().to_wire()
         refs.append(
             InstanceRef(
                 meta=dict(meta),

@@ -60,7 +60,7 @@ class TestOptSharing:
 class TestWire:
     def test_wire_roundtrip_preserves_graph_and_kernel(self):
         for _, graph in _instances():
-            wire = kernel_for(graph).to_wire()
+            wire = kernel_for(graph).packed().to_wire()
             back = graph_from_wire(wire)
             assert set(back.nodes) == set(graph.nodes)
             assert {frozenset(e) for e in back.edges} == {
@@ -72,17 +72,17 @@ class TestWire:
         graph = nx.relabel_nodes(
             get_family("ladder").make(10, 0), lambda v: (v, f"v{v}")
         )
-        back = graph_from_wire(kernel_for(graph).to_wire())
+        back = graph_from_wire(kernel_for(graph).packed().to_wire())
         assert set(back.nodes) == set(graph.nodes)
         assert kernel_for(back).labels == kernel_for(graph).labels
 
     def test_wire_roundtrip_zero_nodes_and_isolates(self):
-        empty = graph_from_wire(kernel_for(nx.Graph()).to_wire())
+        empty = graph_from_wire(kernel_for(nx.Graph()).packed().to_wire())
         assert empty.number_of_nodes() == 0
         graph = nx.Graph()
         graph.add_nodes_from([0, 1, 2])
         graph.add_edge(0, 1)
-        back = graph_from_wire(kernel_for(graph).to_wire())
+        back = graph_from_wire(kernel_for(graph).packed().to_wire())
         assert set(back.nodes) == {0, 1, 2}
         assert back.number_of_edges() == 1
 
@@ -91,7 +91,7 @@ class TestWire:
         direct = solve_many(_instances(), ALGORITHMS, config)
         rebuilt = solve_many(
             [
-                (meta, graph_from_wire(kernel_for(graph).to_wire()))
+                (meta, graph_from_wire(kernel_for(graph).packed().to_wire()))
                 for meta, graph in _instances()
             ],
             ALGORITHMS,

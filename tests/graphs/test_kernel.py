@@ -7,6 +7,7 @@ path) can be checked against the semantics the repo shipped with.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 
 import networkx as nx
@@ -18,7 +19,17 @@ from repro.analysis.domination import (
     undominated_vertices,
 )
 from repro.core.d2 import d2_dominating_set, d2_set, gamma
-from repro.graphs.kernel import GraphKernel, invalidate_kernel, iter_bits, kernel_for
+from repro.graphs.kernel import (
+    GraphKernel,
+    invalidate_kernel,
+    iter_bits,
+    kernel_backend,
+    kernel_for,
+    kernel_from_edges,
+    kernel_from_wire,
+    set_kernel_backend,
+)
+from repro.graphs.packed import PackedGraphKernel
 from repro.graphs.twins import remove_true_twins
 from repro.graphs.util import ball, ball_of_set, closed_neighborhood_of_set
 from repro.solvers.greedy import greedy_b_dominating_set
@@ -143,6 +154,44 @@ def nx_d2_dominating_set(graph):
     return solution
 
 
+def legacy_int_kernel(graph):
+    """The int kernel's own row walk over the nx graph, as it was before
+    every kernel came from one CSR builder, verbatim: ``(labels, indptr,
+    indices, closed_bits, full_mask)``."""
+    labels = sorted(graph.nodes, key=repr)
+    index_of = {label: i for i, label in enumerate(labels)}
+    n = len(labels)
+    indptr = array("q", [0])
+    indices = array("q")
+    closed_bits = []
+    for i, label in enumerate(labels):
+        row = sorted(index_of[u] for u in graph.neighbors(label))
+        indices.extend(row)
+        indptr.append(len(indices))
+        bits = 1 << i
+        for j in row:
+            bits |= 1 << j
+        closed_bits.append(bits)
+    return labels, list(indptr), list(indices), closed_bits, (1 << n) - 1
+
+
+def ingest_cases():
+    """Atlas graphs plus str, tuple and mixed labels, self-loops and
+    isolated vertices."""
+    cases = list(nx.graph_atlas_g())
+    cases.append(nx.relabel_nodes(nx.petersen_graph(), lambda i: f"v{i}"))
+    cases.append(tuple_labelled_graph())
+    mixed = nx.path_graph(12)
+    mixed.add_edges_from([("tail", 0), (("t", 1), "tail"), (frozenset({3}), 7), (5, 5)])
+    mixed.add_nodes_from([99, "lone", ("iso", 0)])
+    cases.append(mixed)
+    loops = nx.gnp_random_graph(30, 0.2, seed=4)
+    loops.add_edges_from((v, v) for v in range(0, 30, 4))
+    loops.add_nodes_from([30, 31])
+    cases.append(loops)
+    return cases
+
+
 def random_graphs():
     """A spread of random instances, including disconnected ones."""
     cases = []
@@ -170,6 +219,36 @@ def oracle_graphs():
 
 
 class TestKernelStructure:
+    def test_every_ingest_path_matches_the_legacy_row_walk(self):
+        previous = kernel_backend()
+        set_kernel_backend("int")
+        try:
+            for graph in ingest_cases():
+                want = legacy_int_kernel(graph)
+                kernel = GraphKernel(graph)
+                csr = kernel.packed()
+                got = (
+                    kernel.labels,
+                    csr.indptr.tolist(),
+                    csr.indices.tolist(),
+                    kernel.closed_bits,
+                    kernel.full_mask,
+                )
+                assert got == want
+                assert csr.labels is kernel.labels and csr.index_of is kernel.index_of
+                for other in (
+                    kernel_from_wire(csr.to_wire()),
+                    PackedGraphKernel.from_graph(graph).bitsets(),
+                    kernel_from_edges(graph.edges, nodes=graph.nodes),
+                ):
+                    assert other.backend == "int"
+                    assert other.labels == want[0]
+                    assert other.packed().to_wire() == csr.to_wire()
+                    assert other.closed_bits == want[3]
+                    assert other.full_mask == want[4]
+        finally:
+            set_kernel_backend(previous[0], threshold=previous[1])
+
     def test_zero_node_graph(self):
         kernel = GraphKernel(nx.Graph())
         assert kernel.n == 0
@@ -203,17 +282,18 @@ class TestKernelStructure:
 
     def test_csr_rows_sorted_and_symmetric(self):
         for graph in random_graphs():
-            kernel = kernel_for(graph)
+            kernel = kernel_for(graph).packed()
             for i in range(kernel.n):
-                row = list(kernel.neighbor_row(i))
+                row = kernel.neighbor_row(i).tolist()
                 assert row == sorted(row)
+                assert kernel.degree(i) == len(row)
                 assert {kernel.labels[j] for j in row} == set(
                     graph.neighbors(kernel.labels[i])
                 )
 
     def test_back_ports_invert_ports(self):
         for graph in random_graphs():
-            kernel = kernel_for(graph)
+            kernel = kernel_for(graph).packed()
             back = kernel.back_ports()
             indptr, indices = kernel.indptr, kernel.indices
             for u in range(kernel.n):

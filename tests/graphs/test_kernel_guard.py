@@ -64,7 +64,7 @@ def test_stale_kernel_is_dropped_so_retry_succeeds(guard):
         kernel_for(graph)
     rebuilt = kernel_for(graph)
     assert rebuilt is not stale
-    assert len(rebuilt.indices) == 2 * graph.number_of_edges()
+    assert len(rebuilt.packed().indices) == 2 * graph.number_of_edges()
 
 
 def test_invalidate_after_mutation_never_raises(guard):
@@ -73,7 +73,7 @@ def test_invalidate_after_mutation_never_raises(guard):
     graph.add_edge(0, 3)
     invalidate_kernel(graph)
     kernel = kernel_for(graph)
-    assert len(kernel.indices) == 2 * graph.number_of_edges()
+    assert len(kernel.packed().indices) == 2 * graph.number_of_edges()
 
 
 def test_node_count_change_rebuilds_without_raising(guard):
@@ -102,7 +102,7 @@ def test_kernel_cached_before_guard_enabled_is_adopted():
 
 def test_graph_from_wire_seeds_guard_state(guard):
     graph = path4()
-    wire = kernel_for(graph).to_wire()
+    wire = kernel_for(graph).packed().to_wire()
     assert isinstance(wire, KernelWire)
     rebuilt = graph_from_wire(wire)
     kernel_for(rebuilt)  # pre-seeded kernel verifies cleanly

@@ -9,9 +9,11 @@ kernel the nx route builds.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import os
 import subprocess
 import sys
+import weakref
 
 import networkx as nx
 import numpy as np
@@ -85,7 +87,7 @@ def test_primitives_agree(graph):
     ik, pk = both_kernels(graph)
     assert pk.labels == ik.labels
     assert pk.n == ik.n
-    assert pk.edge_count() == ik.edge_count() == graph.number_of_edges()
+    assert pk.edge_count() == ik.packed().edge_count() == graph.number_of_edges()
     labels = list(ik.labels)
     rng = np.random.default_rng(11)
     subsets = [
@@ -106,27 +108,28 @@ def test_primitives_agree(graph):
                 ik.ball_labels_of_set(subset, radius)
             )
     assert pk.full_mask == ik.full_mask
+    csr = ik.packed()
     for v in labels[:6]:
         assert pk.index(v) == ik.index(v)
-        assert pk.degree(pk.index(v)) == ik.degree(ik.index(v))
-        assert list(pk.neighbor_row(pk.index(v))) == list(ik.neighbor_row(ik.index(v)))
+        assert pk.degree(pk.index(v)) == csr.degree(csr.index(v))
+        assert list(pk.neighbor_row(pk.index(v))) == list(csr.neighbor_row(csr.index(v)))
         for radius in (0, 1, 3):
             assert pk.ball_labels(v, radius) == ik.ball_labels(v, radius)
-    assert list(pk.back_ports()) == list(ik.back_ports())
+    assert list(pk.back_ports()) == list(csr.back_ports())
 
 
 @pytest.mark.parametrize("graph", zoo(), ids=lambda g: f"n{g.number_of_nodes()}")
 def test_wires_and_digests_agree(graph):
     ik, pk = both_kernels(graph)
-    assert pk.to_wire() == ik.to_wire()
-    assert wire_digest(pk.to_wire()) == wire_digest(ik.to_wire())
+    assert pk.to_wire() == ik.packed().to_wire()
+    assert wire_digest(pk.to_wire()) == wire_digest(ik.packed().to_wire())
 
 
 def test_wire_digest_matches_historical_formula():
     import hashlib
 
     for graph in zoo():
-        wire = GraphKernel(graph).to_wire()
+        wire = GraphKernel(graph).packed().to_wire()
         hasher = hashlib.sha256()
         hasher.update(repr(wire.labels).encode("utf-8"))
         hasher.update(wire.indptr)
@@ -142,9 +145,28 @@ def test_closed_bits_is_not_available_on_packed():
     view = pk.bitsets()
     assert view.backend == "int"
     assert view.closed_bits == GraphKernel(graph).closed_bits
-    assert view.to_wire() == pk.to_wire()
+    assert view.packed().to_wire() == pk.to_wire()
     assert pk.bitsets() is view
     assert view.bitsets() is view
+
+
+def test_kernels_form_no_reference_cycle():
+    # The int table holds its CSR kernel and nothing points back, so
+    # both die by reference counting alone, with the collector off.
+    graph = nx.path_graph(6)
+    gc.disable()
+    try:
+        kernel = GraphKernel(graph)
+        csr = kernel.packed()
+        packed = PackedGraphKernel.from_graph(graph)
+        view = packed.bitsets()
+        assert view.packed() is not packed
+        assert np.shares_memory(view.packed().indices, packed.indices)
+        refs = [weakref.ref(obj) for obj in (kernel, csr, packed, view)]
+        del kernel, csr, packed, view
+        assert [ref() for ref in refs] == [None] * 4
+    finally:
+        gc.enable()
 
 
 def test_backend_threshold_boundary(restore_backend):
@@ -156,10 +178,6 @@ def test_backend_threshold_boundary(restore_backend):
 
 def test_backend_overrides(restore_backend):
     graph = nx.path_graph(6)
-    # explicit per-call override beats auto selection
-    assert kernel_for(graph, backend="packed").backend == "packed"
-    assert kernel_for(graph, backend="int").backend == "int"
-    # process-wide override
     set_kernel_backend("packed")
     invalidate_kernel(graph)
     assert kernel_for(graph).backend == "packed"
@@ -168,8 +186,6 @@ def test_backend_overrides(restore_backend):
     assert kernel_for(graph).backend == "int"
     with pytest.raises(ValueError):
         set_kernel_backend("vector")
-    with pytest.raises(ValueError):
-        kernel_for(graph, backend="vector")
 
 
 def test_env_override_selects_packed():
@@ -198,46 +214,51 @@ def test_kernel_cache_rebuilds_on_backend_switch(restore_backend):
     assert second.labels == first.labels
 
 
-def test_kernel_from_edges_matches_nx_route():
+def test_kernel_from_edges_matches_nx_route(restore_backend):
     graph = nx.gnp_random_graph(40, 0.12, seed=5)
     edges = list(graph.edges)
     for backend in ("int", "packed"):
-        built = kernel_from_edges(edges, n=40, backend=backend)
-        want = kernel_for(graph, backend=backend)
-        assert built.backend == backend
-        assert built.to_wire() == want.to_wire()
+        set_kernel_backend(backend)
+        invalidate_kernel(graph)
+        built = kernel_from_edges(edges, n=40)
+        want = kernel_for(graph)
+        assert built.backend == want.backend == backend
+        assert built.packed().to_wire() == want.packed().to_wire()
     # duplicate and reversed edges collapse to canonical CSR
     noisy = edges + [(v, u) for u, v in edges[:10]] + edges[:5]
-    assert kernel_from_edges(noisy, n=40, backend="packed").to_wire() == (
-        kernel_for(graph, backend="packed").to_wire()
+    assert kernel_from_edges(noisy, n=40).to_wire() == (
+        PackedGraphKernel.from_graph(graph).to_wire()
     )
 
 
 def test_kernel_from_edges_keeps_isolated_vertices():
-    kernel = kernel_from_edges([(0, 1)], n=4, backend="packed")
+    kernel = kernel_from_edges([(0, 1)], n=4)
     assert tuple(kernel.labels) == (0, 1, 2, 3)
-    assert kernel.degree(2) == 0
-    named = kernel_from_edges([("a", "b")], nodes=["c"], backend="packed")
+    assert kernel.packed().degree(2) == 0
+    named = kernel_from_edges([("a", "b")], nodes=["c"])
     assert tuple(named.labels) == ("a", "b", "c")
 
 
 def test_kernel_from_edge_file(tmp_path):
     path = tmp_path / "edges.txt"
     path.write_text("# comment\n0 1\n\n1 2\n2 0\n")
-    kernel = kernel_from_edge_file(path, n=4, backend="packed")
+    kernel = kernel_from_edge_file(path, n=4)
     want = nx.Graph([(0, 1), (1, 2), (2, 0)])
     want.add_node(3)
-    assert kernel.to_wire() == kernel_for(want, backend="packed").to_wire()
+    assert kernel.packed().to_wire() == PackedGraphKernel.from_graph(want).to_wire()
 
 
 @pytest.mark.parametrize("graph", zoo(), ids=lambda g: f"n{g.number_of_nodes()}")
-def test_wire_file_round_trip(tmp_path, graph):
-    wire = kernel_for(graph, backend="packed").to_wire()
+def test_wire_file_round_trip(tmp_path, graph, restore_backend):
+    wire = PackedGraphKernel.from_graph(graph).to_wire()
     path = tmp_path / "instance.wire"
     write_wire(wire, path)
     assert read_wire(path) == wire
-    rebuilt = kernel_from_wire(read_wire(path), backend="packed")
-    assert rebuilt.to_wire() == wire
+    for backend in ("int", "packed"):
+        set_kernel_backend(backend)
+        rebuilt = kernel_from_wire(read_wire(path))
+        assert rebuilt.backend == backend
+        assert rebuilt.packed().to_wire() == wire
 
 
 def test_read_wire_rejects_garbage(tmp_path):
@@ -249,8 +270,8 @@ def test_read_wire_rejects_garbage(tmp_path):
 
 def test_instance_from_wire_splits_on_threshold(restore_backend):
     set_kernel_backend("auto", threshold=10)
-    small = kernel_for(nx.path_graph(5), backend="int").to_wire()
-    large = kernel_for(nx.path_graph(20), backend="int").to_wire()
+    small = PackedGraphKernel.from_graph(nx.path_graph(5)).to_wire()
+    large = PackedGraphKernel.from_graph(nx.path_graph(20)).to_wire()
     assert isinstance(instance_from_wire(small), nx.Graph)
     view = instance_from_wire(large)
     assert isinstance(view, KernelView)
@@ -259,7 +280,7 @@ def test_instance_from_wire_splits_on_threshold(restore_backend):
 
 def test_kernel_view_is_graph_shaped():
     graph = nx.gnp_random_graph(15, 0.3, seed=9)
-    view = KernelView(kernel_for(graph, backend="packed"))
+    view = KernelView(PackedGraphKernel.from_graph(graph))
     assert view.number_of_nodes() == graph.number_of_nodes()
     assert view.number_of_edges() == graph.number_of_edges()
     assert sorted(view.nodes) == sorted(graph.nodes)
@@ -314,7 +335,7 @@ def test_pipelines_agree_across_backends(seed, restore_backend):
 def test_solve_on_kernel_view_matches_graph(restore_backend):
     set_kernel_backend("auto", threshold=8)
     graph = nx.gnp_random_graph(25, 0.2, seed=4)
-    view = KernelView(kernel_for(graph, backend="packed"))
+    view = KernelView(PackedGraphKernel.from_graph(graph))
     config = RunConfig(validate="valid")
     for name in ("d2", "greedy_central", "greedy", "take_all"):
         got = solve(view, name, config)
@@ -327,7 +348,7 @@ def test_solve_on_kernel_view_matches_graph(restore_backend):
 def test_solve_many_accepts_views_serial_and_parallel(restore_backend):
     set_kernel_backend("auto", threshold=8)
     graph = nx.gnp_random_graph(20, 0.25, seed=6)
-    view = KernelView(kernel_for(graph, backend="packed"))
+    view = KernelView(PackedGraphKernel.from_graph(graph))
     instances = [({"i": 0}, graph), ({"i": 1}, view), view]
     config = RunConfig(validate="valid")
     serial = solve_many(instances, ["d2", "greedy_central"], config)
@@ -343,7 +364,7 @@ def test_simulate_accepts_view_but_rejects_churn(restore_backend):
 
     set_kernel_backend("auto", threshold=8)
     graph = nx.gnp_random_graph(18, 0.25, seed=8)
-    view = KernelView(kernel_for(graph, backend="packed"))
+    view = KernelView(PackedGraphKernel.from_graph(graph))
     assert simulate(view, "d2").outputs == simulate(graph, "d2").outputs
     spec = SimulationSpec(algorithm="d2", seed=1, churn=ChurnPlan(rate=0.3, until=2))
     with pytest.raises(TypeError, match="churn"):
@@ -369,7 +390,7 @@ def test_induced_subkernel_preserves_labels_and_edges():
     keep = np.array([i for i in range(kernel.n) if i % 3 != 0], dtype=np.int64)
     sub = kernel.induced(keep)
     kept_labels = {kernel.labels[int(i)] for i in keep}
-    want = kernel_for(graph.subgraph(kept_labels), backend="packed")
+    want = PackedGraphKernel.from_graph(graph.subgraph(kept_labels))
     assert sub.to_wire() == want.to_wire()
 
 

@@ -232,3 +232,22 @@ class TestDeliveryContract:
         first, second = result.outputs[0]
         assert first == [1, 2, 3, 4, 5]
         assert second == [-5, -4, -3, -2, -1]
+
+    def test_inbox_ports_are_plain_ints_naming_the_sender(self, ladder5):
+        """Inbox keys are Python ints: the receiver's port of the sender."""
+        seen = {}
+
+        class PortProbe(LocalAlgorithm):
+            def on_init(self, ctx: NodeContext) -> None:
+                ctx.broadcast(ctx.uid)
+
+            def on_round(self, ctx: NodeContext) -> None:
+                seen[ctx.uid] = dict(ctx.inbox)
+                ctx.halt(None)
+
+        network = Network(ladder5)
+        SimulationEngine(network).run(PortProbe)
+        for node in network.nodes.values():
+            inbox = seen[node.uid]
+            assert all(type(port) is int for port in inbox)
+            assert inbox == {p: network.ids[u] for p, u in enumerate(node.ports)}

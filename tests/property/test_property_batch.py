@@ -43,7 +43,7 @@ def test_cache_and_backends_agree(graph):
 @given(connected_graphs(min_nodes=2, max_nodes=14))
 def test_wire_roundtrip_is_lossless(graph):
     kernel = GraphKernel(graph)
-    back = graph_from_wire(kernel.to_wire())
+    back = graph_from_wire(kernel.packed().to_wire())
     assert set(back.nodes) == set(graph.nodes)
     assert {frozenset(e) for e in back.edges} == {frozenset(e) for e in graph.edges}
     rebuilt = GraphKernel(back)

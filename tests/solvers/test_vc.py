@@ -3,6 +3,7 @@
 import networkx as nx
 import pytest
 
+from repro.api import RunConfig, solve
 from repro.graphs import generators as gen
 from repro.solvers.vc import (
     all_vertices_cover,
@@ -37,6 +38,16 @@ class TestExactVc:
         g = nx.Graph()
         g.add_nodes_from(range(4))
         assert minimum_vertex_cover(g) == set()
+
+    def test_mixed_labels(self):
+        # int and str labels do not compare; the MILP's edge order falls
+        # back to repr instead of raising.
+        graph = nx.path_graph(4)
+        graph.add_edge("tail", 0)
+        cover = minimum_vertex_cover(graph)
+        assert len(cover) == 2 and is_vertex_cover(graph, cover)
+        report = solve(graph, "matching_vc", RunConfig(validate="ratio"))
+        assert report.valid and report.optimum_size == 2
 
     def test_koenig_on_bipartite(self):
         # König: VC = max matching on bipartite graphs.
