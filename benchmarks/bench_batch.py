@@ -1,7 +1,7 @@
 """Batch-runner benchmark: bitset B&B + shared-OPT batching vs PR 3.
 
 Measures the exact/batch layer end to end against the pre-overhaul
-behavior (kept verbatim below as ``legacy_*``), then writes
+behavior (kept verbatim in ``tests/oracles`` as ``legacy_*``), then writes
 ``benchmarks/BENCH_batch.json``:
 
 * ``bnb[*]`` — the pre-bitset set-walking branch and bound vs the
@@ -40,90 +40,21 @@ import sys
 import time
 from pathlib import Path
 
-from repro.api import RunConfig, solve, solve_many
+from repro.api import RunConfig, solve_many
 from repro.api.registry import algorithm_names
 from repro.experiments.workloads import make_workload
 from repro.graphs.kernel import graph_from_wire, invalidate_kernel, kernel_for
-from repro.graphs.util import closed_neighborhood, closed_neighborhood_of_set
 from repro.io import run_report_to_dict
 from repro.solvers.exact import minimum_dominating_set
-from repro.solvers.greedy import greedy_b_dominating_set
 from repro.solvers.opt_cache import clear_opt_cache
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # for tests.oracles
+from tests.oracles.solvers import (
+    legacy_bnb_minimum_dominating_set,
+    legacy_per_task_sweep,
+)
+
 RESULT_PATH = Path(__file__).parent / "BENCH_batch.json"
-
-
-# -- pre-bitset branch and bound (verbatim) --------------------------------
-
-
-def legacy_bnb_minimum_b_dominating_set(graph, targets, candidates=None):
-    target_set = set(targets)
-    if not target_set:
-        return set()
-    if candidates is None:
-        candidate_set = closed_neighborhood_of_set(graph, target_set)
-    else:
-        candidate_set = set(candidates)
-
-    coverers = {}
-    covers = {c: closed_neighborhood(graph, c) & target_set for c in candidate_set}
-    for b in target_set:
-        options = sorted(
-            (c for c in closed_neighborhood(graph, b) if c in candidate_set), key=repr
-        )
-        if not options:
-            raise ValueError(f"target {b!r} cannot be dominated by any candidate")
-        coverers[b] = options
-
-    incumbent = greedy_b_dominating_set(graph, target_set, candidate_set)
-    best = [set(incumbent)]
-
-    def packing_bound(remaining):
-        bound = 0
-        blocked = set()
-        for b in sorted(remaining, key=lambda v: (len(coverers[v]), repr(v))):
-            if b in blocked:
-                continue
-            bound += 1
-            for c in coverers[b]:
-                blocked |= covers[c]
-        return bound
-
-    def search(chosen, remaining):
-        if not remaining:
-            if len(chosen) < len(best[0]):
-                best[0] = set(chosen)
-            return
-        if len(chosen) + packing_bound(remaining) >= len(best[0]):
-            return
-        pivot = min(remaining, key=lambda v: (len(coverers[v]), repr(v)))
-        for c in coverers[pivot]:
-            search(chosen | {c}, remaining - covers[c])
-
-    search(set(), set(target_set))
-    return best[0]
-
-
-def legacy_bnb_minimum_dominating_set(graph):
-    import networkx as nx
-
-    solution = set()
-    for component in nx.connected_components(graph):
-        sub = graph.subgraph(component)
-        solution |= legacy_bnb_minimum_b_dominating_set(sub, component)
-    return solution
-
-
-def legacy_per_task_sweep(instances, algorithms, config):
-    """The PR 3 runner shape: one task — and one exact solve — per
-    ``(instance, algorithm)`` pair (``opt_cache=False`` reproduces the
-    per-task OPT recomputation exactly)."""
-    per_task = config.with_(opt_cache=False)
-    return [
-        solve(graph, name, per_task, meta=meta)
-        for meta, graph in instances
-        for name in algorithms
-    ]
 
 
 # -- measurement harness --------------------------------------------------

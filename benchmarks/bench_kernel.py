@@ -3,9 +3,9 @@
 Measures every primitive the kernel rewired — domination checks,
 residual spans, balls, ``D₂``, the greedy solver, the distributed
 greedy phase loop, and the engine's delivery-route construction —
-against the pre-kernel set-walking implementations (kept verbatim below
-as the ``legacy_*`` functions), then an end-to-end S1-style ratio sweep
-and a ``simulate_many`` batch.  Results land in
+against the pre-kernel set-walking implementations (kept verbatim in
+``tests/oracles`` as the ``legacy_*`` functions), then an end-to-end
+S1-style ratio sweep and a ``simulate_many`` batch.  Results land in
 ``benchmarks/BENCH_kernel.json``:
 
 * ``primitives[*].speedup`` — legacy seconds / kernel seconds per
@@ -21,8 +21,8 @@ and a ``simulate_many`` batch.  Results land in
   dictionary chain).
 
 Run as a script for the CI smoke (``python benchmarks/bench_kernel.py
---quick``) or under pytest for the full measurement
-(``pytest benchmarks/bench_kernel.py``).
+--quick``) or in full (``python benchmarks/bench_kernel.py``) to
+regenerate ``BENCH_kernel.json``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import argparse
 import json
 import sys
 import time
-from collections import deque
 from pathlib import Path
 
 import networkx as nx
@@ -47,154 +46,19 @@ from repro.local_model.engine import SimulationEngine
 from repro.local_model.network import Network
 from repro.solvers.greedy import greedy_dominating_set
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # for tests.oracles
+from tests.oracles.core import (
+    legacy_build_routes,
+    legacy_d2_set,
+    legacy_distributed_greedy,
+    legacy_greedy_dominating_set,
+    legacy_is_dominating_set,
+    legacy_span_counts,
+    legacy_undominated_vertices,
+)
+from tests.oracles.graphs import legacy_ball_of_set
+
 RESULT_PATH = Path(__file__).parent / "BENCH_kernel.json"
-
-
-# -- pre-kernel reference implementations (verbatim) ----------------------
-
-
-def legacy_closed_neighborhood(graph, v):
-    result = set(graph.neighbors(v))
-    result.add(v)
-    return result
-
-
-def legacy_closed_neighborhood_of_set(graph, vertices):
-    result = set()
-    for v in vertices:
-        result.add(v)
-        result.update(graph.neighbors(v))
-    return result
-
-
-def legacy_undominated_vertices(graph, candidate):
-    return set(graph.nodes) - legacy_closed_neighborhood_of_set(graph, candidate)
-
-
-def legacy_is_dominating_set(graph, candidate):
-    return not legacy_undominated_vertices(graph, candidate)
-
-
-def legacy_ball(graph, center, radius):
-    if radius < 0:
-        return set()
-    seen = {center}
-    frontier = deque([(center, 0)])
-    while frontier:
-        vertex, dist = frontier.popleft()
-        if dist == radius:
-            continue
-        for neighbor in graph.neighbors(vertex):
-            if neighbor not in seen:
-                seen.add(neighbor)
-                frontier.append((neighbor, dist + 1))
-    return seen
-
-
-def legacy_ball_of_set(graph, centers, radius):
-    if radius < 0:
-        return set()
-    seen = set(centers)
-    frontier = deque((v, 0) for v in seen)
-    while frontier:
-        vertex, dist = frontier.popleft()
-        if dist == radius:
-            continue
-        for neighbor in graph.neighbors(vertex):
-            if neighbor not in seen:
-                seen.add(neighbor)
-                frontier.append((neighbor, dist + 1))
-    return seen
-
-
-def legacy_span_counts(graph, undominated):
-    return {
-        v: len(legacy_closed_neighborhood(graph, v) & undominated) for v in graph.nodes
-    }
-
-
-def legacy_gamma(graph, v):
-    n_v = legacy_closed_neighborhood(graph, v)
-    for u in graph.neighbors(v):
-        if n_v <= legacy_closed_neighborhood(graph, u):
-            return 1
-    return 2
-
-
-def legacy_d2_set(graph):
-    return {v for v in graph.nodes if legacy_gamma(graph, v) >= 2}
-
-
-def legacy_greedy_dominating_set(graph):
-    remaining = set(graph.nodes)
-    if not remaining:
-        return set()
-    candidate_set = legacy_closed_neighborhood_of_set(graph, remaining)
-    covers = {c: legacy_closed_neighborhood(graph, c) & remaining for c in candidate_set}
-    chosen = set()
-    while remaining:
-        gain, pick = 0, None
-        for c in sorted(candidate_set - chosen, key=repr):
-            value = len(covers[c] & remaining)
-            if value > gain:
-                gain, pick = value, c
-        if pick is None:
-            raise ValueError("some target cannot be dominated by any candidate")
-        chosen.add(pick)
-        remaining -= covers[pick]
-    return chosen
-
-
-def _legacy_rank(v):
-    return v if isinstance(v, int) else hash(repr(v))
-
-
-def legacy_distributed_greedy(graph):
-    undominated = set(graph.nodes)
-    chosen = set()
-    phases = 0
-    while undominated:
-        phases += 1
-        span = {
-            v: len(legacy_closed_neighborhood(graph, v) & undominated)
-            for v in graph.nodes
-        }
-        joiners = []
-        for v in sorted(graph.nodes, key=repr):
-            if span[v] == 0:
-                continue
-            competitors = legacy_ball(graph, v, 2)
-            best = max(competitors, key=lambda u: (span[u], -_legacy_rank(u)))
-            if best == v:
-                joiners.append(v)
-        if not joiners:
-            raise RuntimeError("greedy stalled")
-        for v in joiners:
-            chosen.add(v)
-            undominated -= legacy_closed_neighborhood(graph, v)
-    return chosen, phases
-
-
-def legacy_build_routes(graph):
-    """The old Network + engine route construction: per-node neighbor
-    re-sorting, then the port→neighbor→back-port dictionary chain per
-    edge.  The kernel path amortises all of it into one cached CSR +
-    reverse-slot array per graph."""
-    from repro.local_model.identifiers import identity_ids
-    from repro.local_model.node import Node
-
-    ids = identity_ids(graph)
-    nodes = {}
-    for v in graph.nodes:
-        ports = sorted(graph.neighbors(v), key=repr)
-        nodes[v] = Node(vertex=v, uid=ids[v], ports=ports)
-    port_of = {
-        v: {u: p for p, u in enumerate(node.ports)} for v, node in nodes.items()
-    }
-    return {
-        v: [(nodes[u], port_of[u][v]) for u in node.ports]
-        for v, node in nodes.items()
-    }
 
 
 # -- measurement harness --------------------------------------------------
@@ -449,34 +313,6 @@ def check(result: dict, quick: bool) -> list[str]:
             f"sweep speedup {result['sweep']['speedup']} < {sweep_floor}"
         )
     return failures
-
-
-# -- pytest entry points --------------------------------------------------
-
-
-def test_bench_kernel_is_dominating_set(benchmark):
-    graph = nx.gnm_random_graph(2000, 6000, seed=1)
-    solution = greedy_dominating_set(graph)
-    kernel_for(graph)
-    benchmark.pedantic(
-        is_dominating_set, args=(graph, solution), rounds=3, iterations=20
-    )
-    benchmark.extra_info["solution_size"] = len(solution)
-
-
-def test_bench_kernel_span_counts(benchmark):
-    graph = nx.gnm_random_graph(2000, 6000, seed=1)
-    kernel = kernel_for(graph)
-    mask = kernel.bits_of(list(graph.nodes)[::2])
-    benchmark.pedantic(kernel.span_counts, args=(mask,), rounds=3, iterations=20)
-
-
-def test_write_kernel_contrast():
-    """Full measurement; persists BENCH_kernel.json and enforces floors."""
-    result = run(quick=False)
-    RESULT_PATH.write_text(json.dumps(result, indent=1))
-    failures = check(result, quick=False)
-    assert not failures, failures
 
 
 # -- CI smoke -------------------------------------------------------------

@@ -3,9 +3,9 @@
 Measures everything the bitset local-cut rewrite touched — r-local 1-cut
 and 2-cut enumeration, interesting-vertex detection, true-twin removal,
 and an end-to-end Algorithm 1 run — against the pre-rewrite
-implementations (kept verbatim below as the ``legacy_*`` functions,
-which materialize a fresh ``graph.subgraph(ball_of_set(...))`` arena and
-run networkx connectivity per candidate).  Results land in
+implementations (kept verbatim in ``tests/oracles`` as the ``legacy_*``
+functions, which materialize a fresh ``graph.subgraph(ball_of_set(...))``
+arena and run networkx connectivity per candidate).  Results land in
 ``benchmarks/BENCH_local_cuts.json``:
 
 * ``primitives[*].speedup`` — legacy seconds / kernel seconds per
@@ -18,8 +18,8 @@ run networkx connectivity per candidate).  Results land in
   identical cut *lists*, order included).
 
 Run as a script for the CI smoke (``python benchmarks/bench_local_cuts.py
---quick``) or under pytest for the full measurement
-(``pytest benchmarks/bench_local_cuts.py``).
+--quick``) or in full (``python benchmarks/bench_local_cuts.py``) to
+regenerate ``BENCH_local_cuts.json``.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ import argparse
 import json
 import sys
 import time
-from collections import deque
-from itertools import combinations
 from pathlib import Path
 
 import networkx as nx
@@ -44,259 +42,17 @@ from repro.graphs.local_cuts import (
     local_two_cuts,
 )
 from repro.graphs.twins import remove_true_twins
-from repro.solvers.exact import minimum_b_dominating_set
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # for tests.oracles
+from tests.oracles.core import legacy_algorithm1_solution
+from tests.oracles.graphs import (
+    legacy_interesting_vertices,
+    legacy_local_one_cuts,
+    legacy_local_two_cuts,
+    legacy_remove_true_twins,
+)
 
 RESULT_PATH = Path(__file__).parent / "BENCH_local_cuts.json"
-
-
-# -- pre-rewrite reference implementations (verbatim) ----------------------
-
-
-def legacy_closed_neighborhood(graph, v):
-    result = set(graph.neighbors(v))
-    result.add(v)
-    return result
-
-
-def legacy_closed_neighborhood_of_set(graph, vertices):
-    result = set()
-    for v in vertices:
-        result.add(v)
-        result.update(graph.neighbors(v))
-    return result
-
-
-def legacy_ball(graph, center, radius):
-    if radius < 0:
-        return set()
-    seen = {center}
-    frontier = deque([(center, 0)])
-    while frontier:
-        vertex, dist = frontier.popleft()
-        if dist == radius:
-            continue
-        for neighbor in graph.neighbors(vertex):
-            if neighbor not in seen:
-                seen.add(neighbor)
-                frontier.append((neighbor, dist + 1))
-    return seen
-
-
-def legacy_ball_of_set(graph, centers, radius):
-    if radius < 0:
-        return set()
-    seen = set(centers)
-    frontier = deque((v, 0) for v in seen)
-    while frontier:
-        vertex, dist = frontier.popleft()
-        if dist == radius:
-            continue
-        for neighbor in graph.neighbors(vertex):
-            if neighbor not in seen:
-                seen.add(neighbor)
-                frontier.append((neighbor, dist + 1))
-    return seen
-
-
-def legacy_is_cut(graph, cut):
-    cut_set = set(cut)
-    if not cut_set or not set(graph.nodes) - cut_set:
-        return False
-    before = nx.number_connected_components(graph)
-    after = nx.number_connected_components(graph.subgraph(set(graph.nodes) - cut_set))
-    return after > before
-
-
-def legacy_is_minimal_cut(graph, cut):
-    cut_set = set(cut)
-    if not legacy_is_cut(graph, cut_set):
-        return False
-    for size in range(1, len(cut_set)):
-        for subset in combinations(sorted(cut_set, key=repr), size):
-            if legacy_is_cut(graph, subset):
-                return False
-    return True
-
-
-def legacy_local_cut_subgraph(graph, cut, r):
-    return graph.subgraph(legacy_ball_of_set(graph, cut, r))
-
-
-def legacy_is_local_one_cut(graph, v, r):
-    arena = legacy_local_cut_subgraph(graph, {v}, r)
-    return legacy_is_cut(arena, {v})
-
-
-def legacy_local_one_cuts(graph, r):
-    return {v for v in graph.nodes if legacy_is_local_one_cut(graph, v, r)}
-
-
-def legacy_is_local_two_cut(graph, u, v, r, *, minimal=True):
-    if u == v:
-        return False
-    if v not in legacy_ball(graph, u, r):
-        return False
-    cut = {u, v}
-    arena = legacy_local_cut_subgraph(graph, cut, r)
-    if minimal:
-        return legacy_is_minimal_cut(arena, cut)
-    return legacy_is_cut(arena, cut)
-
-
-def legacy_local_two_cuts(graph, r, *, minimal=True):
-    seen = set()
-    result = []
-    for u in sorted(graph.nodes, key=repr):
-        for v in sorted(legacy_ball(graph, u, r), key=repr):
-            if v == u:
-                continue
-            pair = frozenset({u, v})
-            if pair in seen:
-                continue
-            seen.add(pair)
-            if legacy_is_local_two_cut(graph, u, v, r, minimal=minimal):
-                result.append(pair)
-    return result
-
-
-def legacy_certifies_interesting(graph, u, v, r):
-    n_u = legacy_closed_neighborhood(graph, u)
-    n_v = legacy_closed_neighborhood(graph, v)
-    if n_v <= n_u:
-        return False
-    arena = legacy_local_cut_subgraph(graph, {u, v}, r)
-    rest = set(arena.nodes) - {u, v}
-    witnesses = 0
-    for comp in nx.connected_components(arena.subgraph(rest)):
-        if any(w not in n_u for w in comp):
-            witnesses += 1
-            if witnesses >= 2:
-                return True
-    return False
-
-
-def legacy_is_interesting_vertex(graph, v, r):
-    for u in sorted(legacy_ball(graph, v, r), key=repr):
-        if u == v:
-            continue
-        if not legacy_is_local_two_cut(graph, u, v, r, minimal=True):
-            continue
-        if legacy_certifies_interesting(graph, u, v, r):
-            return True
-    return False
-
-
-def legacy_interesting_vertices(graph, r):
-    return {v for v in graph.nodes if legacy_is_interesting_vertex(graph, v, r)}
-
-
-def legacy_interesting_vertices_of_cuts(graph, cuts, r):
-    result = set()
-    for cut in cuts:
-        u, v = sorted(cut, key=repr)
-        if v not in result and legacy_certifies_interesting(graph, u, v, r):
-            result.add(v)
-        if u not in result and legacy_certifies_interesting(graph, v, u, r):
-            result.add(u)
-    return result
-
-
-def legacy_true_twin_classes(graph):
-    buckets = {}
-    for v in graph.nodes:
-        key = frozenset(legacy_closed_neighborhood(graph, v))
-        buckets.setdefault(key, set()).add(v)
-    classes = list(buckets.values())
-    classes.sort(key=lambda cls: repr(min(cls, key=repr)))
-    return classes
-
-
-def legacy_remove_true_twins(graph):
-    mapping = {v: v for v in graph.nodes}
-    current = graph.copy()
-    while True:
-        classes = legacy_true_twin_classes(current)
-        removable = [cls for cls in classes if len(cls) > 1]
-        if not removable:
-            break
-        for cls in removable:
-            rep = min(cls, key=repr)
-            for v in cls:
-                if v != rep:
-                    current.remove_node(v)
-                    mapping[v] = rep
-    for v in list(mapping):
-        rep = mapping[v]
-        while mapping[rep] != rep:
-            rep = mapping[rep]
-        mapping[v] = rep
-    return current, mapping
-
-
-def legacy_distances_from(graph, source):
-    dist = {source: 0}
-    frontier = deque([source])
-    while frontier:
-        vertex = frontier.popleft()
-        d = dist[vertex]
-        for neighbor in graph.neighbors(vertex):
-            if neighbor not in dist:
-                dist[neighbor] = d + 1
-                frontier.append(neighbor)
-    return dist
-
-
-def legacy_weak_diameter(graph, vertices):
-    vertex_list = list(vertices)
-    if len(vertex_list) <= 1:
-        return 0
-    best = 0
-    targets = set(vertex_list)
-    for v in vertex_list:
-        dist = legacy_distances_from(graph, v)
-        for u in targets:
-            if u not in dist:
-                raise ValueError(f"vertices {v!r} and {u!r} are disconnected in G")
-            if dist[u] > best:
-                best = dist[u]
-    return best
-
-
-def legacy_algorithm1_solution(graph, policy):
-    """The pre-rewrite Algorithm 1 pipeline, composed verbatim.
-
-    Twin reduction, phase sets, residual components and span all use the
-    legacy subgraph-walking pieces; the brute-force step uses the same
-    exact solver as the production path (identical on both sides).
-    """
-    if graph.number_of_nodes() == 0:
-        return set()
-    reduced, _ = legacy_remove_true_twins(graph)
-    x_set = legacy_local_one_cuts(reduced, policy.one_cut_radius)
-    cuts = legacy_local_two_cuts(reduced, policy.two_cut_radius, minimal=True)
-    i_set = legacy_interesting_vertices_of_cuts(reduced, cuts, policy.two_cut_radius)
-    taken = x_set | i_set
-    dominated = legacy_closed_neighborhood_of_set(reduced, taken) if taken else set()
-    undominated = set(reduced.nodes) - dominated
-    u_set = {
-        u
-        for u in dominated - taken
-        if legacy_closed_neighborhood(reduced, u) <= dominated
-    }
-    residual_nodes = set(reduced.nodes) - x_set - i_set - u_set
-    components = []
-    for component in nx.connected_components(reduced.subgraph(residual_nodes)):
-        targets = undominated & set(component)
-        if targets:
-            components.append((set(component), targets))
-    components.sort(key=lambda pair: repr(min(pair[0], key=repr)))
-    brute = set()
-    span = 0
-    for component, targets in components:
-        brute |= minimum_b_dominating_set(reduced, targets)
-        zone = component | legacy_closed_neighborhood_of_set(reduced, targets)
-        span = max(span, legacy_weak_diameter(reduced, zone))
-    return x_set | i_set | brute
 
 
 # -- measurement harness --------------------------------------------------
@@ -496,23 +252,6 @@ def check(result: dict, quick: bool) -> list[str]:
                 f"algorithm1 on {row['graph']}: speedup {row['speedup']} < {e2e_floor}"
             )
     return failures
-
-
-# -- pytest entry points --------------------------------------------------
-
-
-def test_bench_local_two_cuts(benchmark):
-    graph = gen.ladder(80)
-    local_two_cuts(graph, 3)  # warm the kernel + ball-mask cache
-    benchmark.pedantic(local_two_cuts, args=(graph, 3), rounds=3, iterations=5)
-
-
-def test_write_local_cuts_contrast():
-    """Full measurement; persists BENCH_local_cuts.json and enforces floors."""
-    result = run(quick=False)
-    RESULT_PATH.write_text(json.dumps(result, indent=1))
-    failures = check(result, quick=False)
-    assert not failures, failures
 
 
 # -- CI smoke -------------------------------------------------------------

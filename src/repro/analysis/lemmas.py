@@ -17,7 +17,7 @@ These turn the analysis (Sections 3 and 5) into measurements:
 
 The proven budgets hold for the paper's radii; the reports also apply to
 practical radii, where they answer "how tight are the constants
-really?" (EXPERIMENTS.md collects the numbers).
+really?" (the experiment report's sweep S4 collects the numbers).
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ def vc_two_cut_report(graph: nx.Graph, r: int, dimension: int = 1) -> CountRepor
     Counts *all* vertices of r-local minimal 2-cuts — no interesting
     filter — against the minimum vertex cover.  The paper asserts a
     linear bound without stating its constant; we mirror ``22(d+1)``
-    and record the measured constant (EXPERIMENTS.md reports it).
+    and record the measured constant.
     """
     from repro.solvers.vc import minimum_vertex_cover
 

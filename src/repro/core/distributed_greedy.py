@@ -25,6 +25,7 @@ import numpy as np
 from repro.core.results import AlgorithmResult
 from repro.graphs.kernel import kernel_for
 from repro.local_model.algorithm import LocalAlgorithm
+from repro.local_model.identifiers import identity_id_list
 from repro.local_model.node import NodeContext
 
 Vertex = Hashable
@@ -35,7 +36,7 @@ def distributed_greedy_dominating_set(graph: nx.Graph) -> AlgorithmResult:
 
     Phases repeat until everything is dominated; within a phase every
     vertex whose (span, -rank) is maximal in its distance-2 ball joins
-    simultaneously (ranks from :func:`_rank`).  Rounds charged: 4 per
+    simultaneously (ties broken by identifier).  Rounds charged: 4 per
     phase, matching the message protocol (span exchange, maximality
     exchange, join announcement, domination-status sync).
 
@@ -51,8 +52,11 @@ def distributed_greedy_dominating_set(graph: nx.Graph) -> AlgorithmResult:
     n = kernel.n
     cind, ccols = kernel._closed_csr()
     starts = cind[:-1]
-    ranks = [_rank(v, i) for i, v in enumerate(kernel.labels)]
-    # Dense tie-ranks, larger for a smaller rank; equal ranks stay equal.
+    # Tie-break by identifier, assigned as identity_ids assigns them, so
+    # the result matches run_distributed_greedy under default ids and
+    # never depends on the process hash seed.
+    ranks = identity_id_list(kernel.labels)
+    # Dense tie-ranks, larger for a smaller rank.
     dense = {r: k for k, r in enumerate(sorted(set(ranks), reverse=True))}
     tie = np.array([dense[r] for r in ranks], dtype=np.int64)
     scale = len(dense)
@@ -82,15 +86,6 @@ def distributed_greedy_dominating_set(graph: nx.Graph) -> AlgorithmResult:
         phases={"greedy": set(solution)},
         metadata={"phases": phases},
     )
-
-
-def _rank(v: Vertex, index: int) -> int:
-    """Identifier rank for tie-breaking, assigned the way
-    :func:`~repro.local_model.identifiers.identity_ids` assigns ids: the
-    label itself when it is an int, else its kernel (repr-order) index.
-    So the result matches :func:`run_distributed_greedy` under default
-    ids, and never depends on the process hash seed."""
-    return v if isinstance(v, int) else index
 
 
 class DistributedGreedyProtocol(LocalAlgorithm):

@@ -45,14 +45,6 @@ def _second_condition_masks(
     return False
 
 
-def _second_condition(graph: nx.Graph, u: Vertex, cut: frozenset[Vertex]) -> bool:
-    """≥ 2 components of ``G − c`` each holding a vertex non-adjacent to u."""
-    kernel = kernel_for(graph).bitsets()
-    return _second_condition_masks(
-        kernel, kernel.index_of[u], removal_component_masks(graph, cut)
-    )
-
-
 def is_globally_interesting(graph: nx.Graph, v: Vertex, cut: frozenset[Vertex]) -> bool:
     """Is ``v`` interesting via the specific 2-cut ``cut = {u, v}``?"""
     if v not in cut or len(cut) != 2:

@@ -69,7 +69,8 @@ class RadiusPolicy:
         computes ``c_3.2(1) + c_3.3(1) + 1 = 50`` while Section 5 proves
         ``c_3.2(d) = 3(d+1)`` and ``c_3.3(d) = 22(d+1)``, whose sum plus
         one is 51 at ``d = 1``.  We report the quoted headline; either
-        constant is far above anything measured (see EXPERIMENTS.md).
+        constant is far above anything measured (sweep S4 of
+        ``python -m repro report``).
         The bound is only *proven* for the paper's radii.
         """
         return 25 * (self.dimension + 1)

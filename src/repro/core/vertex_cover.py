@@ -13,7 +13,7 @@ The paper notes both main theorems extend to MVC:
   of whose endpoints were discarded (still 3 + O(1) rounds).  The patch
   is often needed: at n = 96, seed 1, it adds 93 vertices on ``fan``,
   72 on ``fan_flower``, 50 on ``clique_pendants``, 23 on ``ding`` and
-  11 on ``outerplanar``.  EXPERIMENTS.md discusses the substitution.
+  11 on ``outerplanar``.
 """
 
 from __future__ import annotations

@@ -5,13 +5,15 @@
 * :mod:`repro.experiments.figures` — executable versions of the paper's
   two illustrative figures (Lemma 5.17/5.18 construction; the charging
   picture of Lemma 3.3);
-* :mod:`repro.experiments.sweeps` — supplementary sweeps S1–S5 of
-  DESIGN.md (ratio vs t, ratio vs n, rounds vs n, lemma constants,
-  Theorem 4.1-vs-4.4 crossover);
+* :mod:`repro.experiments.sweeps` — supplementary sweeps S1–S7 and
+  S9–S12 (ratio vs t, ratio vs n, rounds vs n, lemma constants, the
+  Theorem 4.1-vs-4.4 crossover, and the model, fault and structure
+  sweeps); S8, the paper's own radii, is
+  :mod:`repro.experiments.paper_mode`;
 * :mod:`repro.experiments.workloads` — the instance suites everything
   draws from;
 * :mod:`repro.experiments.report` — renders everything into the text
-  blocks recorded in EXPERIMENTS.md.
+  report printed by ``python -m repro report``.
 """
 
 from repro.experiments.workloads import Workload, run_workload, standard_suite

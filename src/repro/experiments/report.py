@@ -1,4 +1,4 @@
-"""Assemble the full experiment report (the source of EXPERIMENTS.md).
+"""Assemble the full experiment report (``python -m repro report``).
 
 ``python -m repro.experiments.report`` prints every table; pass
 ``--scale tiny|small|medium`` to trade time for size.

@@ -1,7 +1,8 @@
-"""Supplementary sweeps S1–S5 (see DESIGN.md experiment index).
+"""Supplementary sweeps S1–S7 and S9–S12 (S8 is in ``paper_mode``).
 
 Each sweep returns plain data rows (lists of dicts) plus a renderer, so
-benchmarks can assert on the numbers and EXPERIMENTS.md can quote them.
+tests can assert on the numbers and ``python -m repro report`` can print
+them (it prints all of these but S12).
 Algorithm executions go through the :mod:`repro.api` front door
 (:func:`repro.api.solve` with ``validate="ratio"``), so the sweeps
 measure exactly what the CLI and Table 1 run.

@@ -81,7 +81,7 @@ def table1_rows(
     """Measure every row of Table 1 (plus a greedy reference row).
 
     ``policy`` overrides the radius policy of the Algorithm 1 rows
-    (default: the practical preset — see DESIGN.md's radius discussion);
+    (default: :meth:`~repro.core.radii.RadiusPolicy.practical`);
     ``workers`` runs each row's instance batch process-parallel;
     ``solver``/``opt_cache`` pick the exact backend for every ratio
     denominator and whether per-instance optima are shared (they are

@@ -666,9 +666,11 @@ class KernelView:
     (``number_of_nodes``/``number_of_edges``, node iteration,
     ``neighbors``, ``edges``) while :func:`kernel_for` short-circuits
     straight to the wrapped kernel, whose ``memo`` holds everything
-    derived from the instance.  It is read-only: mutation-shaped calls
-    do not exist, so the kernel staleness contract is trivially
-    satisfied.
+    derived from the instance.  Only the pipelines that cut the instance
+    down (twin removal, the MVC residual) build an ``nx.Graph`` copy,
+    through ``subgraph``/``edge_subgraph``.  It is read-only:
+    mutation-shaped calls do not exist, so the kernel staleness contract
+    is trivially satisfied.
     """
 
     __slots__ = ("kernel",)
@@ -720,6 +722,21 @@ class KernelView:
             for j in indices[indptr[i] : indptr[i + 1]]
             if j >= i  # >= keeps self-loops listed once
         )
+
+    def subgraph(self, nodes) -> nx.Graph:
+        """``nx.Graph.subgraph`` of a fresh ``nx.Graph`` copy of the view."""
+        return self._graph().subgraph(nodes)
+
+    def edge_subgraph(self, edges) -> nx.Graph:
+        """``nx.Graph.edge_subgraph`` of a fresh ``nx.Graph`` copy of the view."""
+        return self._graph().edge_subgraph(edges)
+
+    def _graph(self) -> nx.Graph:
+        """A new ``nx.Graph`` with the view's labels (in order) and edges."""
+        graph = nx.Graph()
+        graph.add_nodes_from(self.kernel.labels)
+        graph.add_edges_from(self.edges)
+        return graph
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"KernelView(n={self.kernel.n}, backend={self.kernel.backend})"
@@ -809,17 +826,7 @@ def graph_from_wire(wire: KernelWire) -> nx.Graph:
     kernel-backed primitive on the rebuilt graph is warm.
     """
     kernel = kernel_from_wire(wire)
-    csr = kernel.packed()
-    labels = csr.labels
-    indptr, indices = csr.rows()
-    graph = nx.Graph()
-    graph.add_nodes_from(labels)
-    graph.add_edges_from(
-        (labels[u], labels[j])
-        for u in range(csr.n)
-        for j in indices[indptr[u] : indptr[u + 1]]
-        if j >= u  # >= keeps self-loops round-tripping
-    )
+    graph = KernelView(kernel)._graph()
     _cache(graph, kernel)
     return graph
 

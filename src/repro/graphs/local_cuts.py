@@ -210,18 +210,6 @@ def _certifies_interesting_idx(
     return False
 
 
-def _certifies_interesting(graph: nx.Graph, u: Vertex, v: Vertex, r: int) -> bool:
-    """Check the two interesting-ness conditions for the ordered pair.
-
-    ``v`` is the candidate interesting vertex; ``u`` is its cut partner.
-    """
-    kernel = kernel_for(graph).bitsets()
-    table = _ball_masks(kernel, r)
-    return _certifies_interesting_idx(
-        kernel, table, kernel.index_of[u], kernel.index_of[v], r
-    )
-
-
 def is_interesting_vertex(graph: nx.Graph, v: Vertex, r: int) -> bool:
     """Return whether ``v`` is r-interesting (Section 4 definition).
 

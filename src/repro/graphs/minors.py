@@ -68,11 +68,16 @@ def largest_k2t_minor_singleton_hubs(graph: nx.Graph) -> int:
 
     This is a lower bound on the true largest ``t`` and is exact on many
     structured families (wheels, thetas, books); it runs one max-flow per
-    vertex pair.
+    vertex pair.  Each connector uses a distinct neighbour of each hub,
+    so a pair whose smaller degree is at most the best ``t`` so far
+    cannot beat it and is skipped.
     """
     best = 0
+    degree = dict(graph.degree)
     nodes = sorted(graph.nodes, key=repr)
     for a, b in combinations(nodes, 2):
+        if min(degree[a], degree[b]) <= best:
+            continue
         best = max(best, max_connectors(graph, {a}, {b}))
     return best
 

@@ -205,26 +205,10 @@ def r_components(graph: nx.Graph, vertices: Iterable[Vertex], r: int) -> list[se
     return components
 
 
-def graph_power_components(graph: nx.Graph, vertices: set[Vertex], r: int) -> list[set[Vertex]]:
-    """Alias of :func:`r_components` matching the G^r phrasing of the paper."""
-    return r_components(graph, vertices, r)
-
-
 def connected_components_of_subset(graph: nx.Graph, vertices: Iterable[Vertex]) -> list[set[Vertex]]:
     """Connected components of the induced subgraph ``G[vertices]``."""
     sub = graph.subgraph(set(vertices))
     return [set(c) for c in nx.connected_components(sub)]
-
-
-def eccentricity_within(graph: nx.Graph, vertices: set[Vertex], v: Vertex) -> int:
-    """Max distance in ``graph`` from ``v`` to any vertex of ``vertices``."""
-    dist = distances_from(graph, v)
-    worst = 0
-    for u in vertices:
-        if u not in dist:
-            raise ValueError(f"vertex {u!r} unreachable from {v!r}")
-        worst = max(worst, dist[u])
-    return worst
 
 
 def relabel_to_integers(graph: nx.Graph) -> tuple[nx.Graph, dict[Vertex, int]]:

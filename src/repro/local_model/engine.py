@@ -34,8 +34,7 @@ inbox **by reference**, never copied.  The contract for algorithm
 authors: a payload must not be mutated after it is sent, and a received
 payload must be treated as read-only (build a new object to forward
 modified knowledge).  Every protocol in the repo already follows this —
-dropping the defensive copies is what makes the hot path cheap (see
-``benchmarks/bench_engine.py`` for the measured win).
+dropping the defensive copies is what makes the hot path cheap.
 
 Routing uses an adjacency-indexed buffer built once per engine:
 ``routes[v][port] == (receiver node, back port)``, so delivering a

@@ -4,7 +4,8 @@ The model grants each processor a unique ``O(log n)``-bit identifier.
 Deterministic LOCAL algorithms must work for *every* assignment, so the
 test-suite runs the paper's algorithms under several schemes:
 
-* :func:`identity_ids` — vertex label = identifier;
+* :func:`identity_ids` — vertex label = identifier (on int-labelled
+  graphs; repr-order indices otherwise);
 * :func:`shuffled_ids` — a seeded random permutation (adversarial-ish);
 * :func:`spread_ids` — non-contiguous identifiers (multiples of a
   stride), checking that nothing assumes ids form ``0..n−1``.
@@ -13,7 +14,7 @@ test-suite runs the paper's algorithms under several schemes:
 from __future__ import annotations
 
 import random
-from typing import Hashable
+from typing import Hashable, Sequence
 
 import networkx as nx
 
@@ -21,12 +22,24 @@ Vertex = Hashable
 
 
 def identity_ids(graph: nx.Graph) -> dict[Vertex, int]:
-    """Assign each integer-labelled vertex its own label as identifier."""
-    ids = {}
-    for i, v in enumerate(sorted(graph.nodes, key=repr)):
-        ids[v] = v if isinstance(v, int) else i
+    """Vertex label = identifier when every label is an int, else the
+    label's repr-order index (see :func:`identity_id_list`)."""
+    vertices = sorted(graph.nodes, key=repr)
+    ids = dict(zip(vertices, identity_id_list(vertices)))
     _check_unique(ids)
     return ids
+
+
+def identity_id_list(labels: Sequence[Vertex]) -> list[int]:
+    """The identity identifiers of repr-ordered ``labels``, in order.
+
+    One rule for the whole graph: the labels themselves when all are
+    ints, otherwise the indices ``0..n−1``.  Mixing the two would let an
+    int label collide with another label's index.
+    """
+    if all(isinstance(v, int) for v in labels):
+        return list(labels)
+    return list(range(len(labels)))
 
 
 def shuffled_ids(graph: nx.Graph, seed: int = 0) -> dict[Vertex, int]:

@@ -18,7 +18,7 @@ class TestLemma32:
     def test_budget_on_cut_rich_families(self):
         # Lemma 3.2: #local-1-cuts <= 3(d+1) MDS on asdim-1 classes.
         # Our radii are far below the paper's, yet the budget holds on
-        # these families — the experiment EXPERIMENTS.md reports.
+        # these families — sweep S4 of the experiment report.
         for seed in range(3):
             g = random_cactus(3, 5, seed)
             report = lemma_3_2_report(g, r=2)

@@ -17,6 +17,7 @@ from repro.core.radii import RadiusPolicy
 from repro.graphs.families import get_family
 from repro.graphs.kernel import GraphKernel, KernelView
 from repro.graphs.packed import PackedGraphKernel
+from repro.graphs.random_families import random_ding_augmentation, random_outerplanar
 from repro.solvers.exact import minimum_dominating_set
 
 
@@ -55,11 +56,16 @@ class TestSolve:
         assert ratio.ratio == ratio.size / ratio.optimum_size
 
     def test_solver_backends_agree(self):
-        graph = get_family("outerplanar").make(14, 1)
-        milp = solve(graph, "algorithm1", RunConfig(validate="ratio", solver="milp"))
-        bnb = solve(graph, "algorithm1", RunConfig(validate="ratio", solver="bnb"))
-        assert milp.optimum_size == bnb.optimum_size
-        assert milp.solution == bnb.solution
+        for graph in (
+            get_family("outerplanar").make(14, 1),
+            random_outerplanar(16, seed=0),
+            random_outerplanar(24, seed=0),
+            random_ding_augmentation(4, 3, seed=0),
+        ):
+            milp = solve(graph, "algorithm1", RunConfig(validate="ratio", solver="milp"))
+            bnb = solve(graph, "algorithm1", RunConfig(validate="ratio", solver="bnb"))
+            assert milp.optimum_size == bnb.optimum_size
+            assert milp.solution == bnb.solution
 
     def test_mvc_validation(self):
         graph = get_family("fan").make(10, 0)
@@ -139,10 +145,9 @@ class TestSolveMany:
 
     def test_parallel_matches_serial_exactly(self):
         config = RunConfig(validate="ratio")
-        serial = solve_many(self._instances(), ["d2", "algorithm1"], config)
-        parallel = solve_many(
-            self._instances(), ["d2", "algorithm1"], config, workers=2
-        )
+        algorithms = ["algorithm1", "d2", "degree_two", "greedy", "take_all"]
+        serial = solve_many(self._instances(), algorithms, config)
+        parallel = solve_many(self._instances(), algorithms, config, workers=2)
         assert _payload(serial) == _payload(parallel)
 
     def test_accepts_bare_graphs(self):

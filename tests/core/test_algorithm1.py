@@ -4,7 +4,7 @@ import networkx as nx
 import pytest
 
 from repro.analysis.domination import is_dominating_set
-from repro.core.algorithm1 import algorithm1
+from repro.core.algorithm1 import _phase_sets, _residual_components, algorithm1
 from repro.core.radii import RadiusPolicy
 from repro.graphs import generators as gen
 from repro.graphs.random_families import (
@@ -13,7 +13,9 @@ from repro.graphs.random_families import (
     random_outerplanar,
     random_tree,
 )
-from repro.solvers.exact import domination_number
+from repro.graphs.local_cuts import local_two_cuts
+from repro.graphs.twins import remove_true_twins
+from repro.solvers.exact import domination_number, minimum_b_dominating_set
 
 
 class TestValidity:
@@ -170,3 +172,36 @@ class TestRounds:
     def test_twin_rounds_charged(self, fan5):
         result = algorithm1(fan5)
         assert result.round_breakdown["twin_reduction"] == 2
+
+
+def _without_twin_reduction(graph, policy):
+    """Steps 2-4 of Algorithm 1 on the raw graph (twin reduction ablated)."""
+    x_set, i_set, u_set, undominated = _phase_sets(graph, policy)
+    brute = set()
+    for _, targets in _residual_components(graph, x_set, i_set, u_set, undominated):
+        brute |= minimum_b_dominating_set(graph, targets)
+    return x_set | i_set | brute
+
+
+class TestAblations:
+    def test_interesting_filter_prunes_clique_pendants(self):
+        # Taking every local 2-cut vertex is Θ(n) on the Section 4
+        # example (MDS = 1); the interesting filter rejects them all.
+        graph = gen.clique_with_pendants(7)
+        policy = RadiusPolicy.practical()
+        reduced, _ = remove_true_twins(graph)
+        cuts = local_two_cuts(reduced, policy.two_cut_radius, minimal=True)
+        assert len(set().union(*cuts)) >= 7
+        assert algorithm1(graph, policy).phases["interesting_2_cuts"] == set()
+
+    def test_without_twin_reduction_still_valid(self):
+        policy = RadiusPolicy.practical()
+        for graph in [gen.clique_with_pendants(5), nx.complete_graph(8), gen.fan(8)]:
+            assert is_dominating_set(graph, _without_twin_reduction(graph, policy))
+
+    def test_twin_reduction_collapses_cliques(self):
+        graph = nx.complete_graph(10)
+        policy = RadiusPolicy.practical()
+        with_reduction = algorithm1(graph, policy)
+        assert with_reduction.metadata["twin_free_size"] == 1
+        assert len(with_reduction.solution) <= len(_without_twin_reduction(graph, policy))

@@ -99,6 +99,14 @@ class TestTieRanks:
         assert central.solution == proto.solution
         assert is_dominating_set(g, central.solution)
 
+    def test_mixed_labels_agree_with_protocol(self):
+        g = gen.fan(9)
+        g.add_edges_from([("tail", 0), ("tail", "end")])
+        central = distributed_greedy_dominating_set(g)
+        proto = run_distributed_greedy(g)
+        assert central.solution == proto.solution
+        assert is_dominating_set(g, central.solution)
+
     def test_tuple_labels_ignore_the_hash_seed(self):
         script = (
             "import networkx as nx\n"

@@ -12,15 +12,19 @@ from repro.graphs.random_families import sample_family
 
 class TestPaperMode:
     def test_rows_fields(self):
-        rows = paper_mode_on_cycles(ns=(180,), t=2)
-        row = rows[0]
-        assert row["m32_radius"] == 43 * 2 + 2
-        assert row["all_vertices_are_local_1_cuts"]
-        assert row["ratio"] <= row["ratio_bound"]
+        # On C_180 and C_200 the radius 88 is local: every vertex is an
+        # 88-local 1-cut, and phase one alone gives n / ceil(n/3).
+        for row in paper_mode_on_cycles(ns=(180, 200), t=2):
+            assert row["m32_radius"] == 43 * 2 + 2
+            assert row["all_vertices_are_local_1_cuts"]
+            assert 2.9 <= row["ratio"] <= 3.0
+            assert row["ratio"] <= row["ratio_bound"]
 
     def test_short_cycle_guard(self):
         with pytest.raises(ValueError, match="must exceed"):
             paper_mode_on_cycles(ns=(50,), t=2)
+        with pytest.raises(ValueError):
+            paper_mode_on_cycles(ns=(100,), t=2)  # 100 <= 2*88 + 1
 
 
 class TestFullTableSweep:

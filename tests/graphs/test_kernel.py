@@ -1,14 +1,11 @@
 """Differential tests: kernel primitives vs plain-networkx references.
 
-The reference implementations below are the pre-kernel set-walking
-code, kept verbatim so every kernel primitive (and every rewired hot
-path) can be checked against the semantics the repo shipped with.
+The pre-kernel set-walking code, kept verbatim in :mod:`tests.oracles`,
+pins every kernel primitive (and every rewired hot path) to the
+semantics the repo shipped with.
 """
 
 from __future__ import annotations
-
-from array import array
-from collections import deque
 
 import networkx as nx
 import pytest
@@ -33,163 +30,39 @@ from repro.graphs.packed import PackedGraphKernel
 from repro.graphs.twins import remove_true_twins
 from repro.graphs.util import ball, ball_of_set, closed_neighborhood_of_set
 from repro.solvers.greedy import greedy_b_dominating_set
-
-
-# -- pre-kernel reference implementations ---------------------------------
-
-
-def nx_closed_neighborhood_of_set(graph, vertices):
-    result = set()
-    for v in vertices:
-        result.add(v)
-        result.update(graph.neighbors(v))
-    return result
-
-
-def nx_ball(graph, center, radius):
-    if radius < 0:
-        return set()
-    seen = {center}
-    frontier = deque([(center, 0)])
-    while frontier:
-        vertex, dist = frontier.popleft()
-        if dist == radius:
-            continue
-        for neighbor in graph.neighbors(vertex):
-            if neighbor not in seen:
-                seen.add(neighbor)
-                frontier.append((neighbor, dist + 1))
-    return seen
-
-
-def nx_undominated(graph, candidate):
-    return set(graph.nodes) - nx_closed_neighborhood_of_set(graph, candidate)
-
-
-def nx_gamma(graph, v):
-    n_v = nx_closed_neighborhood_of_set(graph, [v])
-    for u in graph.neighbors(v):
-        if n_v <= nx_closed_neighborhood_of_set(graph, [u]):
-            return 1
-    return 2
-
-
-def nx_greedy_b_dominating_set(graph, targets, candidates=None):
-    remaining = set(targets)
-    if not remaining:
-        return set()
-    if candidates is None:
-        candidate_set = nx_closed_neighborhood_of_set(graph, remaining)
-    else:
-        candidate_set = set(candidates)
-    covers = {
-        c: nx_closed_neighborhood_of_set(graph, [c]) & remaining for c in candidate_set
-    }
-    chosen = set()
-    while remaining:
-        gain, pick = 0, None
-        for c in sorted(candidate_set - chosen, key=repr):
-            value = len(covers[c] & remaining)
-            if value > gain:
-                gain, pick = value, c
-        if pick is None:
-            raise ValueError("some target cannot be dominated by any candidate")
-        chosen.add(pick)
-        remaining -= covers[pick]
-    return chosen
-
-
-def nx_d2_set(graph):
-    """``D₂`` by definition: no neighbor ``u`` has ``N[v] ⊆ N[u]``."""
-    closed = {v: nx_closed_neighborhood_of_set(graph, [v]) for v in graph.nodes}
-    return {
-        v
-        for v in graph.nodes
-        if not any(closed[v] <= closed[u] for u in graph.neighbors(v) if u != v)
-    }
-
-
-def nx_remove_true_twins(graph):
-    """Iterated true-twin removal: ``(survivors, representative map)``.
-
-    Each round groups the survivors by their closed neighborhood inside
-    the survivor-induced subgraph and keeps the repr-least member of
-    every class; rounds repeat until no class has two members.
-    """
-    survivors = set(graph.nodes)
-    parent = {v: v for v in graph.nodes}
-    while True:
-        classes = {}
-        for v in survivors:
-            key = frozenset(nx_closed_neighborhood_of_set(graph, [v]) & survivors)
-            classes.setdefault(key, []).append(v)
-        removed = set()
-        for members in classes.values():
-            rep = min(members, key=repr)
-            for v in members:
-                if v != rep:
-                    parent[v] = rep
-                    removed.add(v)
-        if not removed:
-            break
-        survivors -= removed
-    mapping = {}
-    for v in graph.nodes:
-        rep = v
-        while parent[rep] != rep:
-            rep = parent[rep]
-        mapping[v] = rep
-    return survivors, mapping
-
-
-def nx_d2_dominating_set(graph):
-    """Theorem 4.4 by definition: twin-reduce, take ``D₂``, and add the
-    repr-least vertex of every reduced component ``D₂`` misses."""
-    survivors, _ = nx_remove_true_twins(graph)
-    reduced = graph.subgraph(survivors)
-    solution = nx_d2_set(reduced)
-    for component in nx.connected_components(reduced):
-        if not solution & component:
-            solution.add(min(component, key=repr))
-    return solution
-
-
-def legacy_int_kernel(graph):
-    """The int kernel's own row walk over the nx graph, as it was before
-    every kernel came from one CSR builder, verbatim: ``(labels, indptr,
-    indices, closed_bits, full_mask)``."""
-    labels = sorted(graph.nodes, key=repr)
-    index_of = {label: i for i, label in enumerate(labels)}
-    n = len(labels)
-    indptr = array("q", [0])
-    indices = array("q")
-    closed_bits = []
-    for i, label in enumerate(labels):
-        row = sorted(index_of[u] for u in graph.neighbors(label))
-        indices.extend(row)
-        indptr.append(len(indices))
-        bits = 1 << i
-        for j in row:
-            bits |= 1 << j
-        closed_bits.append(bits)
-    return labels, list(indptr), list(indices), closed_bits, (1 << n) - 1
+from tests.oracles.cases import (
+    atlas,
+    mixed_path,
+    str_labelled,
+    twin_grid,
+    with_isolated,
+    with_self_loops,
+)
+from tests.oracles.core import (
+    legacy_d2_dominating_set,
+    legacy_d2_set,
+    legacy_gamma,
+    legacy_greedy_b_dominating_set,
+    legacy_undominated_vertices,
+)
+from tests.oracles.graphs import (
+    legacy_ball,
+    legacy_closed_neighborhood_of_set,
+    legacy_int_kernel,
+    legacy_remove_true_twins,
+)
 
 
 def ingest_cases():
     """Atlas graphs plus str, tuple and mixed labels, self-loops and
     isolated vertices."""
-    cases = list(nx.graph_atlas_g())
-    cases.append(nx.relabel_nodes(nx.petersen_graph(), lambda i: f"v{i}"))
-    cases.append(tuple_labelled_graph())
-    mixed = nx.path_graph(12)
-    mixed.add_edges_from([("tail", 0), (("t", 1), "tail"), (frozenset({3}), 7), (5, 5)])
-    mixed.add_nodes_from([99, "lone", ("iso", 0)])
-    cases.append(mixed)
-    loops = nx.gnp_random_graph(30, 0.2, seed=4)
-    loops.add_edges_from((v, v) for v in range(0, 30, 4))
-    loops.add_nodes_from([30, 31])
-    cases.append(loops)
-    return cases
+    loops = with_self_loops(nx.gnp_random_graph(30, 0.2, seed=4), range(0, 30, 4))
+    return atlas() + [
+        str_labelled(nx.petersen_graph()),
+        twin_grid(),
+        mixed_path(),
+        with_isolated(loops, [30, 31]),
+    ]
 
 
 def random_graphs():
@@ -200,19 +73,8 @@ def random_graphs():
     return cases
 
 
-def tuple_labelled_graph():
-    """A grid with tuple labels, a pendant clique of true twins hung off
-    one corner, and a separate ``K4`` that collapses to one vertex."""
-    graph = nx.grid_2d_graph(3, 4)
-    clique = [("k", i) for i in range(3)]
-    graph.add_edges_from((u, v) for u in clique for v in clique if u != v)
-    graph.add_edges_from((u, (0, 0)) for u in clique)
-    graph.add_edges_from(nx.relabel_nodes(nx.complete_graph(4), lambda i: ("z", i)).edges)
-    return graph
-
-
 def oracle_graphs():
-    return random_graphs() + [tuple_labelled_graph()]
+    return random_graphs() + [twin_grid()]
 
 
 # -- kernel structure -----------------------------------------------------
@@ -318,7 +180,7 @@ class TestKernelStructure:
         # stay sparse while radius-8 balls go dense mid-walk.
         graph = nx.random_regular_graph(3, 400, seed=5)
         for radius in (1, 2, 4, 8, 12):
-            assert ball(graph, 0, radius) == nx_ball(graph, 0, radius)
+            assert ball(graph, 0, radius) == legacy_ball(graph, 0, radius)
 
     def test_iter_bits(self):
         assert list(iter_bits(0)) == []
@@ -371,19 +233,19 @@ class TestKernelAgainstNetworkx:
         for size in (0, 1, len(nodes) // 2, len(nodes)):
             subset = nodes[:size]
             assert closed_neighborhood_of_set(graph, subset) == (
-                nx_closed_neighborhood_of_set(graph, subset)
+                legacy_closed_neighborhood_of_set(graph, subset)
             )
 
     @pytest.mark.parametrize("graph", random_graphs(), ids=lambda g: f"n{len(g)}")
     def test_balls(self, graph):
         for v in graph.nodes:
             for radius in (-1, 0, 1, 2, 3, len(graph)):
-                assert ball(graph, v, radius) == nx_ball(graph, v, radius)
+                assert ball(graph, v, radius) == legacy_ball(graph, v, radius)
         centers = list(graph.nodes)[:3]
         for radius in (0, 1, 2):
             expected = set()
             for c in centers:
-                expected |= nx_ball(graph, c, radius)
+                expected |= legacy_ball(graph, c, radius)
             assert ball_of_set(graph, centers, radius) == expected
 
     @pytest.mark.parametrize("graph", random_graphs(), ids=lambda g: f"n{len(g)}")
@@ -391,15 +253,15 @@ class TestKernelAgainstNetworkx:
         nodes = list(graph.nodes)
         candidates = [nodes[:1], nodes[: len(nodes) // 2], nodes]
         for candidate in candidates:
-            assert undominated_vertices(graph, candidate) == nx_undominated(
+            assert undominated_vertices(graph, candidate) == legacy_undominated_vertices(
                 graph, candidate
             )
             assert is_dominating_set(graph, candidate) == (
-                not nx_undominated(graph, candidate)
+                not legacy_undominated_vertices(graph, candidate)
             )
             targets = nodes[::2]
             assert is_b_dominating_set(graph, candidate, targets) == (
-                set(targets) <= nx_closed_neighborhood_of_set(graph, candidate)
+                set(targets) <= legacy_closed_neighborhood_of_set(graph, candidate)
             )
 
     @pytest.mark.parametrize("graph", random_graphs(), ids=lambda g: f"n{len(g)}")
@@ -409,39 +271,38 @@ class TestKernelAgainstNetworkx:
         undominated = set(nodes[::3])
         spans = kernel.span_counts(kernel.bits_of(undominated))
         for v in nodes:
-            expected = len(nx_closed_neighborhood_of_set(graph, [v]) & undominated)
+            expected = len(legacy_closed_neighborhood_of_set(graph, [v]) & undominated)
             assert spans[kernel.index(v)] == expected
 
     @pytest.mark.parametrize("graph", oracle_graphs(), ids=lambda g: f"n{len(g)}")
     def test_gamma_and_d2(self, graph):
         for v in graph.nodes:
-            assert gamma(graph, v) == nx_gamma(graph, v)
-        assert d2_set(graph) == nx_d2_set(graph)
+            assert gamma(graph, v) == legacy_gamma(graph, v)
+        assert d2_set(graph) == legacy_d2_set(graph)
 
     @pytest.mark.parametrize("graph", oracle_graphs(), ids=lambda g: f"n{len(g)}")
     def test_twin_removal_matches_reference(self, graph):
         reduced, mapping = remove_true_twins(graph)
-        survivors, want_map = nx_remove_true_twins(graph)
-        assert set(reduced.nodes) == survivors
-        assert {frozenset(e) for e in reduced.edges} == {
-            frozenset(e) for e in graph.subgraph(survivors).edges
-        }
+        want, want_map = legacy_remove_true_twins(graph)
+        assert set(reduced.nodes) == set(want.nodes)
+        assert {frozenset(e) for e in reduced.edges} == {frozenset(e) for e in want.edges}
         assert mapping == want_map
 
     @pytest.mark.parametrize("graph", oracle_graphs(), ids=lambda g: f"n{len(g)}")
     def test_d2_pipeline_matches_reference(self, graph):
         result = d2_dominating_set(graph)
-        assert result.solution == nx_d2_dominating_set(graph)
-        assert result.metadata["twin_free_size"] == len(nx_remove_true_twins(graph)[0])
+        want = legacy_d2_dominating_set(graph)
+        assert result.solution == want.solution
+        assert result.metadata["twin_free_size"] == want.metadata["twin_free_size"]
 
     @pytest.mark.parametrize("graph", oracle_graphs(), ids=lambda g: f"n{len(g)}")
     def test_greedy_matches_reference(self, graph):
         if graph.number_of_nodes() == 0:
             return
         assert greedy_b_dominating_set(graph, graph.nodes) == (
-            nx_greedy_b_dominating_set(graph, graph.nodes)
+            legacy_greedy_b_dominating_set(graph, graph.nodes)
         )
         targets = list(graph.nodes)[::2]
         assert greedy_b_dominating_set(graph, targets) == (
-            nx_greedy_b_dominating_set(graph, targets)
+            legacy_greedy_b_dominating_set(graph, targets)
         )

@@ -48,6 +48,7 @@ from repro.graphs.packed import PackedGraphKernel, bits_from_flags, flags_from_b
 from repro.graphs.twins import has_true_twins, remove_true_twins, true_twin_classes
 from repro.solvers.bounds import two_packing_lower_bound
 from repro.solvers.greedy import greedy_dominating_set
+from tests.oracles.cases import with_isolated, with_self_loops
 
 
 @pytest.fixture
@@ -69,12 +70,8 @@ def zoo():
         nx.gnp_random_graph(24, 0.15, seed=3),
         nx.gnp_random_graph(30, 0.4, seed=7),
     ]
-    isolated = nx.gnp_random_graph(12, 0.3, seed=1)
-    isolated.add_nodes_from([50, 51])  # isolated vertices
-    graphs.append(isolated)
-    loops = nx.path_graph(5)
-    loops.add_edge(2, 2)  # self-loop
-    graphs.append(loops)
+    graphs.append(with_isolated(nx.gnp_random_graph(12, 0.3, seed=1), [50, 51]))
+    graphs.append(with_self_loops(nx.path_graph(5), [2]))
     return graphs
 
 

@@ -4,6 +4,7 @@ import networkx as nx
 import pytest
 
 from repro.graphs import generators as gen
+from repro.graphs.families import FAMILIES
 from repro.graphs.minors import (
     edge_density_certificate,
     has_k2t_minor,
@@ -13,6 +14,8 @@ from repro.graphs.minors import (
     largest_k2t_minor_singleton_hubs,
     max_connectors,
 )
+from tests.oracles.cases import atlas
+from tests.oracles.graphs import legacy_largest_k2t_minor_singleton_hubs
 
 
 class TestMaxConnectors:
@@ -56,6 +59,14 @@ class TestSingletonHubs:
     def test_fan_value_two(self, fan5):
         # fans are outerplanar: no K_{2,3}
         assert largest_k2t_minor_singleton_hubs(fan5) == 2
+
+    def test_degree_pruning_matches_unpruned_search(self):
+        graphs = atlas(step=16)
+        graphs += [FAMILIES[name].make(12, 0) for name in sorted(FAMILIES)]
+        for g in graphs:
+            assert largest_k2t_minor_singleton_hubs(g) == (
+                legacy_largest_k2t_minor_singleton_hubs(g)
+            )
 
 
 class TestExactSearch:

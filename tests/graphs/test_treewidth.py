@@ -1,7 +1,5 @@
 """Tests for tree decompositions and treewidth."""
 
-import itertools
-
 import networkx as nx
 import pytest
 
@@ -21,32 +19,8 @@ from repro.graphs.treewidth import (
     treewidth_exact_small,
     width,
 )
-
-
-def rescan_min_fill_order(graph):
-    """The min-fill loop that recomputed every vertex's fill at every
-    step, verbatim except that it returns the elimination order instead
-    of the decomposition built from it."""
-    if graph.number_of_nodes() == 0:
-        return []
-    work = graph.copy()
-    order = []
-    while work.number_of_nodes():
-        def fill_in(v):
-            neighbors = list(work.neighbors(v))
-            missing = 0
-            for a, b in itertools.combinations(neighbors, 2):
-                if not work.has_edge(a, b):
-                    missing += 1
-            return missing
-
-        v = min(sorted(work.nodes, key=repr), key=fill_in)
-        order.append(v)
-        neighbors = list(work.neighbors(v))
-        for a, b in itertools.combinations(neighbors, 2):
-            work.add_edge(a, b)
-        work.remove_node(v)
-    return order
+from tests.oracles.cases import atlas
+from tests.oracles.graphs import legacy_min_fill_order
 
 
 def s10_instances():
@@ -87,13 +61,13 @@ class TestValidity:
 class TestMinFillOrder:
     def test_matches_rescan_on_atlas_and_s10(self):
         extra = [nx.grid_2d_graph(4, 5), nx.gnp_random_graph(30, 0.15, seed=2)]
-        for g in nx.graph_atlas_g() + s10_instances() + extra:
-            assert min_fill_order(g) == rescan_min_fill_order(g)
+        for g in atlas() + s10_instances() + extra:
+            assert min_fill_order(g) == legacy_min_fill_order(g)
 
     def test_decomposition_follows_the_order(self):
         for g in s10_instances() + [nx.grid_2d_graph(4, 5)]:
             tree = min_fill_decomposition(g)
-            want = _decomposition_from_order(g, rescan_min_fill_order(g))
+            want = _decomposition_from_order(g, legacy_min_fill_order(g))
             assert set(tree.nodes) == set(want.nodes)
             assert {frozenset(e) for e in tree.edges} == {frozenset(e) for e in want.edges}
 

@@ -6,7 +6,6 @@ vertices (~140 graphs).  Anything that survives this sweep is unlikely
 to break on a structured family.
 """
 
-import networkx as nx
 import pytest
 
 from repro.analysis.domination import is_dominating_set
@@ -18,18 +17,10 @@ from repro.graphs.twins import has_true_twins, remove_true_twins
 from repro.solvers.branch_and_bound import bnb_minimum_dominating_set
 from repro.solvers.exact import domination_number, minimum_dominating_set
 from repro.solvers.vc import is_vertex_cover
+from tests.oracles.cases import connected_atlas
 
 
-def _atlas_graphs(max_nodes: int = 6) -> list[nx.Graph]:
-    out = []
-    for graph in nx.graph_atlas_g():
-        n = graph.number_of_nodes()
-        if 2 <= n <= max_nodes and nx.is_connected(graph):
-            out.append(graph)
-    return out
-
-
-ATLAS = _atlas_graphs()
+ATLAS = connected_atlas(2, 6)
 
 
 def test_atlas_has_expected_coverage():

@@ -9,7 +9,6 @@ consistent, monotone where monotonicity is guaranteed, and the
 simulate/fast agreement must hold on a sample.
 """
 
-import networkx as nx
 import pytest
 
 from repro.analysis.lemmas import lemma_3_2_report, lemma_3_3_report
@@ -19,18 +18,9 @@ from repro.graphs.local_cuts import (
     local_one_cuts,
     local_two_cuts,
 )
+from tests.oracles.cases import connected_atlas
 
-
-def _atlas(max_nodes: int = 6) -> list[nx.Graph]:
-    out = []
-    for graph in nx.graph_atlas_g():
-        n = graph.number_of_nodes()
-        if 3 <= n <= max_nodes and nx.is_connected(graph):
-            out.append(graph)
-    return out
-
-
-ATLAS = _atlas()
+ATLAS = connected_atlas(3, 6)
 
 
 def test_local_one_cut_counts_consistent():

@@ -52,6 +52,12 @@ class TestRoundInflation:
         _, congest_trace = congest_gather_views(g, 2, 2)
         assert congest_trace.round_count > local_trace.round_count
 
+    def test_congest_round_gap_on_ladder(self):
+        g = gen.ladder(12)
+        _, local_trace = gather_views(g, 2)
+        _, congest_trace = congest_gather_views(g, 2, 2)
+        assert congest_trace.round_count >= 3 * local_trace.round_count
+
     def test_messages_respect_budget(self):
         g = gen.ladder(6)
         budget = 2

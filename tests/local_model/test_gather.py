@@ -78,6 +78,12 @@ class TestGatheredKnowledge:
         _, large = gather_views(cycle6, 3)
         assert large.total_payload > small.total_payload
 
+    def test_messages_linear_in_n(self):
+        # every node broadcasts once per round: 4x nodes => 4x messages
+        _, t20 = gather_views(gen.cycle(20), 2)
+        _, t80 = gather_views(gen.cycle(80), 2)
+        assert t80.total_messages == 4 * t20.total_messages
+
 
 class TestIdentifierInvariance:
     def test_view_isomorphic_under_relabeling(self, cycle6):

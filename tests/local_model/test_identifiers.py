@@ -3,6 +3,8 @@
 import networkx as nx
 import pytest
 
+from repro.analysis.domination import is_dominating_set
+from repro.api import RunConfig, simulate, solve
 from repro.graphs import generators as gen
 from repro.local_model.identifiers import identity_ids, shuffled_ids, spread_ids
 
@@ -16,6 +18,16 @@ class TestSchemes:
         g.add_edge("a", "b")
         ids = identity_ids(g)
         assert set(ids.values()) == {0, 1}
+
+    def test_identity_on_mixed_labels_uses_indices(self):
+        # An int label kept as its id would collide with another label's
+        # repr-order index (here "tail" gets 0), so no label is kept.
+        g = nx.path_graph(4)
+        g.add_edge("tail", 0)
+        assert identity_ids(g) == {v: i for i, v in enumerate(sorted(g.nodes, key=repr))}
+        report = solve(g, "algorithm1", RunConfig(mode="simulate", validate="valid"))
+        assert report.valid is True
+        assert is_dominating_set(g, simulate(g, "d2").chosen)
 
     def test_shuffled_is_permutation(self, cycle6):
         ids = shuffled_ids(cycle6, seed=5)

@@ -6,8 +6,6 @@ with hypothesis-generated graphs and vertex subsets.
 
 from __future__ import annotations
 
-from collections import deque
-
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.domination import is_dominating_set, undominated_vertices
@@ -15,28 +13,15 @@ from repro.core.distributed_greedy import distributed_greedy_dominating_set
 from repro.graphs.kernel import kernel_for
 from repro.graphs.util import ball, closed_neighborhood_of_set
 
+from tests.oracles.graphs import legacy_ball
 from tests.property.strategies import connected_graphs
-
-
-def bfs_ball(graph, center, radius):
-    seen = {center}
-    frontier = deque([(center, 0)])
-    while frontier:
-        vertex, dist = frontier.popleft()
-        if dist == radius:
-            continue
-        for neighbor in graph.neighbors(vertex):
-            if neighbor not in seen:
-                seen.add(neighbor)
-                frontier.append((neighbor, dist + 1))
-    return seen
 
 
 @settings(max_examples=60, deadline=None)
 @given(connected_graphs(), st.integers(0, 4), st.data())
 def test_ball_matches_bfs(graph, radius, data):
     center = data.draw(st.sampled_from(sorted(graph.nodes)))
-    assert ball(graph, center, radius) == bfs_ball(graph, center, radius)
+    assert ball(graph, center, radius) == legacy_ball(graph, center, radius)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,8 +1,8 @@
 """Property-based pinning: bitset local-cut pipeline vs legacy semantics.
 
-Reuses the verbatim legacy implementations from
-``tests.graphs.test_local_cuts_legacy`` over randomized cut-rich graphs,
-so hypothesis explores shapes the hand-picked differential zoo misses.
+Reuses the verbatim legacy implementations from :mod:`tests.oracles` over
+randomized cut-rich graphs, so hypothesis explores shapes the
+hand-picked differential zoo misses.
 """
 
 from hypothesis import given, settings
@@ -14,13 +14,13 @@ from repro.graphs.local_cuts import interesting_vertices, local_one_cuts, local_
 from repro.graphs.twins import remove_true_twins
 from repro.graphs.util import weak_diameter
 
-from tests.graphs.test_local_cuts_legacy import (
+from tests.oracles.core import legacy_phase_sets
+from tests.oracles.graphs import (
     legacy_components_after_removal,
     legacy_interesting_vertices,
     legacy_local_one_cuts,
     legacy_local_two_cuts,
     legacy_minimal_two_cuts,
-    legacy_phase_sets,
     legacy_remove_true_twins,
     legacy_weak_diameter,
 )

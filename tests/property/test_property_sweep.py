@@ -11,9 +11,6 @@ relies on.
 
 from __future__ import annotations
 
-import copy
-import json
-
 from hypothesis import given, settings, strategies as st
 
 from repro.api import RunConfig, solve_many
@@ -21,16 +18,9 @@ from repro.io import run_report_to_dict
 from repro.sweep import CheckpointStore, plan_sweep
 from repro.sweep.worker import execute_shard, shard_task
 
-from tests.sweep.conftest import make_instances
+from tests.sweep.conftest import canonical, make_instances
 
 ALGORITHMS = ["greedy", "degree_two"]
-
-
-def _canonical(report_dicts):
-    stripped = copy.deepcopy(report_dicts)
-    for report in stripped:
-        report.pop("wall_time", None)
-    return json.dumps(stripped, sort_keys=True)
 
 
 def _execute(manifest, shard):
@@ -51,7 +41,7 @@ def test_resume_from_any_interruption_never_dups_or_drops(
     tmp_path_factory, instance_count, shard_size, data
 ):
     instances = make_instances(instance_count, size=8)
-    serial = _canonical(
+    serial = canonical(
         [run_report_to_dict(r) for r in solve_many(instances, ALGORITHMS, RunConfig())]
     )
     manifest = plan_sweep(instances, algorithms=ALGORITHMS, shard_size=shard_size)
@@ -86,7 +76,7 @@ def test_resume_from_any_interruption_never_dups_or_drops(
     # No dup, no drop: exactly one report per instance x algorithm, in
     # serial order, byte-identical to the uninterrupted batch.
     assert len(merged) == instance_count * len(ALGORITHMS)
-    assert _canonical(merged) == serial
+    assert canonical(merged) == serial
 
 
 @settings(max_examples=20, deadline=None)
@@ -98,6 +88,6 @@ def test_shard_execution_is_idempotent(tmp_path_factory, instance_count, shard_s
     instances = make_instances(instance_count, size=8)
     manifest = plan_sweep(instances, algorithms=ALGORITHMS, shard_size=shard_size)
     for shard in manifest.shards:
-        first = _canonical(_execute(manifest, shard))
-        again = _canonical(_execute(manifest, shard))
+        first = canonical(_execute(manifest, shard))
+        again = canonical(_execute(manifest, shard))
         assert first == again, "re-running a shard must reproduce its reports"

@@ -1,5 +1,5 @@
 """Tests for the branch-and-bound solver (cross-checked against MILP
-and against the pre-bitset legacy implementation, kept verbatim below)."""
+and against the pre-bitset legacy implementation in :mod:`tests.oracles`)."""
 
 import networkx as nx
 import pytest
@@ -8,76 +8,16 @@ from repro.analysis.domination import is_b_dominating_set, is_dominating_set
 from repro.graphs import generators as gen
 from repro.graphs.families import get_family
 from repro.graphs.random_families import random_ding_augmentation, random_tree
-from repro.graphs.util import closed_neighborhood, closed_neighborhood_of_set
 from repro.solvers.branch_and_bound import (
     bnb_minimum_b_dominating_set,
     bnb_minimum_dominating_set,
 )
 from repro.solvers.exact import minimum_b_dominating_set, minimum_dominating_set
-from repro.solvers.greedy import greedy_b_dominating_set
-
-
-# -- pre-bitset reference implementation (verbatim) ------------------------
-
-
-def legacy_bnb_minimum_b_dominating_set(graph, targets, candidates=None):
-    target_set = set(targets)
-    if not target_set:
-        return set()
-    if candidates is None:
-        candidate_set = closed_neighborhood_of_set(graph, target_set)
-    else:
-        candidate_set = set(candidates)
-
-    coverers = {}
-    covers = {c: closed_neighborhood(graph, c) & target_set for c in candidate_set}
-    for b in target_set:
-        options = sorted(
-            (c for c in closed_neighborhood(graph, b) if c in candidate_set), key=repr
-        )
-        if not options:
-            raise ValueError(f"target {b!r} cannot be dominated by any candidate")
-        coverers[b] = options
-
-    incumbent = greedy_b_dominating_set(graph, target_set, candidate_set)
-    best = [set(incumbent)]
-
-    def packing_bound(remaining):
-        bound = 0
-        blocked = set()
-        for b in sorted(remaining, key=lambda v: (len(coverers[v]), repr(v))):
-            if b in blocked:
-                continue
-            bound += 1
-            for c in coverers[b]:
-                blocked |= covers[c]
-        return bound
-
-    def search(chosen, remaining):
-        if not remaining:
-            if len(chosen) < len(best[0]):
-                best[0] = set(chosen)
-            return
-        if len(chosen) + packing_bound(remaining) >= len(best[0]):
-            return
-        pivot = min(remaining, key=lambda v: (len(coverers[v]), repr(v)))
-        for c in coverers[pivot]:
-            search(chosen | {c}, remaining - covers[c])
-
-    search(set(), set(target_set))
-    return best[0]
-
-
-def legacy_bnb_minimum_dominating_set(graph):
-    solution = set()
-    for component in nx.connected_components(graph):
-        sub = graph.subgraph(component)
-        solution |= legacy_bnb_minimum_b_dominating_set(sub, component)
-    return solution
-
-
-def _tuple_labelled(graph):
-    return nx.relabel_nodes(graph, {v: (v, f"v{v}") for v in graph.nodes})
+from tests.oracles.cases import tuple_labelled, with_isolated
+from tests.oracles.solvers import (
+    legacy_bnb_minimum_b_dominating_set,
+    legacy_bnb_minimum_dominating_set,
+)
 
 
 class TestAgainstMilp:
@@ -125,8 +65,8 @@ class TestAgainstLegacy:
             self._check(get_family(family).make(14, 0))
 
     def test_tuple_labelled(self):
-        self._check(_tuple_labelled(gen.ladder(6)))
-        graph = _tuple_labelled(gen.fan(7))
+        self._check(tuple_labelled(gen.ladder(6), lambda v: (v, f"v{v}")))
+        graph = tuple_labelled(gen.fan(7), lambda v: (v, f"v{v}"))
         targets = sorted(graph.nodes)[::2]
         a = bnb_minimum_b_dominating_set(graph, targets)
         b = legacy_bnb_minimum_b_dominating_set(graph, targets)
@@ -138,8 +78,7 @@ class TestAgainstLegacy:
         assert legacy_bnb_minimum_dominating_set(nx.Graph()) == set()
 
     def test_isolated_vertices(self):
-        graph = gen.path(5)
-        graph.add_nodes_from(["iso_a", "iso_b"])
+        graph = with_isolated(gen.path(5), ["iso_a", "iso_b"])
         self._check(graph)
         # Each isolate must dominate itself.
         assert {"iso_a", "iso_b"} <= bnb_minimum_dominating_set(graph)

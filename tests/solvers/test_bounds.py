@@ -4,7 +4,6 @@ import networkx as nx
 
 from repro.graphs import generators as gen
 from repro.graphs.families import get_family
-from repro.graphs.kernel import GraphKernel
 from repro.solvers.bounds import (
     degree_lower_bound,
     exact_two_packing,
@@ -12,30 +11,14 @@ from repro.solvers.bounds import (
     two_packing_lower_bound,
 )
 from repro.solvers.exact import domination_number
+from tests.oracles.cases import atlas
+from tests.oracles.solvers import legacy_two_packing
 
 # The families of the ratio sweep (``standard_suite``).
 SWEEP_FAMILIES = (
     "path", "tree", "star", "cycle", "outerplanar", "fan", "cactus", "ladder", "ding",
     "fan_flower", "clique_pendants",
 )
-
-
-def int_two_packing(graph):
-    """The int-bitset greedy ``two_packing_lower_bound`` ran before it
-    moved onto the CSR core, verbatim except that the degree is read
-    from the CSR kernel."""
-    kernel = GraphKernel(graph)
-    degree = kernel.packed().degree
-    labels = kernel.labels
-    blocked = 0
-    count = 0
-    order = sorted(range(kernel.n), key=lambda i: (degree(i), i))
-    for i in order:
-        if blocked >> i & 1:
-            continue
-        count += 1
-        blocked |= kernel.ball_bits(labels[i], 2)
-    return count
 
 
 class TestDegreeBound:
@@ -55,14 +38,14 @@ class TestDegreeBound:
 
 class TestTwoPacking:
     def test_matches_int_greedy_on_atlas(self):
-        for g in nx.graph_atlas_g():
-            assert two_packing_lower_bound(g) == int_two_packing(g)
+        for g in atlas():
+            assert two_packing_lower_bound(g) == legacy_two_packing(g)
 
     def test_matches_int_greedy_on_sweep_families(self):
         for name in SWEEP_FAMILIES:
             for size in (24, 96):
                 g = get_family(name).make(size, 1)
-                assert two_packing_lower_bound(g) == int_two_packing(g), (name, size)
+                assert two_packing_lower_bound(g) == legacy_two_packing(g), (name, size)
 
     def test_is_lower_bound(self, small_zoo):
         for g in small_zoo:

@@ -10,6 +10,8 @@ from repro.solvers.exact import (
     minimum_b_dominating_set,
     minimum_dominating_set,
 )
+from tests.oracles.cases import atlas, str_labelled
+from tests.oracles.solvers import legacy_minimum_dominating_set
 
 
 class TestKnownOptima:
@@ -99,24 +101,15 @@ class TestBDomination:
             assert len(full) == len(restricted)
 
 
-def _legacy_minimum_dominating_set(graph):
-    """The component split before it moved onto the kernel CSR."""
-    solution = set()
-    for component in nx.connected_components(graph):
-        sub = graph.subgraph(component)
-        solution |= minimum_b_dominating_set(sub, component)
-    return solution
-
-
 class TestComponentSplit:
     def test_matches_subgraph_split(self, small_zoo):
         disjoint = [
             nx.disjoint_union_all([gen.fan(5), gen.cycle(7), gen.path(1)]),
-            nx.union(gen.ladder(4), nx.relabel_nodes(gen.star(5), lambda v: f"s{v}")),
+            nx.union(gen.ladder(4), str_labelled(gen.star(5), "s")),
             nx.disjoint_union(nx.complete_graph(4), nx.complete_bipartite_graph(2, 4)),
         ]
-        for g in list(small_zoo) + disjoint + list(nx.graph_atlas_g()[1:200]):
-            assert minimum_dominating_set(g) == _legacy_minimum_dominating_set(g)
+        for g in list(small_zoo) + disjoint + atlas(1, 200):
+            assert minimum_dominating_set(g) == legacy_minimum_dominating_set(g)
 
     def test_builds_no_component_kernels(self, monkeypatch):
         from repro.graphs.kernel import GraphKernel
