@@ -114,6 +114,10 @@ def bench_graphs(quick):
         return [
             ("ladder24", gen.ladder(24)),
             ("chords48", gen.long_cycle_with_chords(48, 6)),
+            # A hub graph (most pairs share one arena, so local_two_cuts
+            # runs its articulation scans); n = 48 like the two above, so
+            # the largest-n floor gates all three.
+            ("fan47", gen.fan(47)),
         ]
     return [
         ("ladder80", gen.ladder(80)),

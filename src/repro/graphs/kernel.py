@@ -504,6 +504,77 @@ class GraphKernel:
             return True
         return self.component_bits(mask & -mask, mask) == mask
 
+    def articulation_scan(self, mask: int) -> tuple[int, list[int], int]:
+        """Components and articulation points of ``G[mask]``, in one pass.
+
+        Returns ``(count, sizes, cut_mask)``: the number of connected
+        components; a list with each vertex's component size at its
+        kernel index (0 outside ``mask``); and the articulation points
+        as a bitset — the vertices whose removal splits their component.
+        One iterative Hopcroft–Tarjan depth-first search over the CSR
+        rows (no recursion, self-loops ignored), so a caller asking
+        "does removing ``v`` disconnect ``G[mask]``?" for many ``v`` pays
+        one O(|mask| + edges) walk instead of a flood fill per ``v``.
+        """
+        indptr, indices = self._indptr, self._indices
+        # order[w]: -1 outside the mask, 0 not reached yet, else the
+        # DFS discovery number (from 1).  A self-loop reads w's own
+        # number, which never lowers low[w].
+        order = [-1] * self.n
+        low = [0] * self.n
+        sizes = [0] * self.n
+        if mask.bit_count() * 8 < mask.bit_length():
+            roots = list(iter_bits(mask))
+        else:  # dense: one C-level string scan beats a big-int op per bit
+            roots = [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+        for w in roots:
+            order[w] = 0
+        clock = 0
+        cut_mask = 0
+        count = 0
+        for root in roots:
+            if order[root]:
+                continue
+            count += 1
+            clock += 1
+            order[root] = low[root] = clock
+            members = [root]
+            root_children = 0
+            path = [root]
+            rows = [iter(indices[indptr[root] : indptr[root + 1]])]
+            while True:
+                v = path[-1]
+                for w in rows[-1]:
+                    seen = order[w]
+                    if seen:
+                        if 0 < seen < low[v]:
+                            low[v] = seen
+                        continue
+                    clock += 1
+                    order[w] = low[w] = clock
+                    members.append(w)
+                    path.append(w)
+                    rows.append(iter(indices[indptr[w] : indptr[w + 1]]))
+                    break
+                else:
+                    path.pop()
+                    rows.pop()
+                    if not path:
+                        break
+                    parent = path[-1]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                    if parent == root:
+                        root_children += 1
+                    elif low[v] >= order[parent]:
+                        cut_mask |= 1 << parent
+            if root_children > 1:
+                cut_mask |= 1 << root
+            size = len(members)
+            for w in members:
+                sizes[w] = size
+        return count, sizes, cut_mask
+
 
 _KERNELS: "weakref.WeakKeyDictionary[nx.Graph, GraphKernel]"
 # repro: ignore[RPR002] the one per-graph cache; everything derived from a

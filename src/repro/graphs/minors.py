@@ -28,39 +28,110 @@ from typing import Hashable, Iterable
 
 import networkx as nx
 
+from repro.graphs.kernel import kernel_for
+
 Vertex = Hashable
+
+
+_NONE, _SOURCE, _SINK = -1, -2, -3
 
 
 def max_connectors(graph: nx.Graph, hub_a: Iterable[Vertex], hub_b: Iterable[Vertex]) -> int:
     """Max number of disjoint connected sets adjacent to both hubs.
 
-    Exact for the given hubs: builds the node-split flow network over
-    ``G − (A ∪ B)`` and returns the max-flow value (= max vertex-disjoint
-    boundary-to-boundary paths by Menger).  A single vertex adjacent to
-    both hubs counts as one connector.
+    Exact for the given hubs: the maximum number of vertex-disjoint paths
+    in ``G − (A ∪ B)`` from the ``A``-boundary to the ``B``-boundary
+    (Menger).  A single vertex adjacent to both hubs counts as one
+    connector.
+
+    The flow runs on the kernel's CSR rows with unit capacities, one
+    breadth-first augmenting path at a time.  The node split (``v_in →
+    v_out``, capacity 1) stays implicit: each vertex records where the
+    flow through it comes from (``into``) and goes to (``out``), and a
+    search state is ``2v`` for ``v_in`` or ``2v + 1`` for ``v_out``.  The
+    search stops early once the flow reaches the smaller boundary.
     """
     a_set, b_set = set(hub_a), set(hub_b)
     if a_set & b_set:
         raise ValueError("hub sets must be disjoint")
-    rest = set(graph.nodes) - a_set - b_set
-    sources = {v for v in rest if any(w in a_set for w in graph.neighbors(v))}
-    sinks = {v for v in rest if any(w in b_set for w in graph.neighbors(v))}
-    if not sources or not sinks:
-        return 0
-
-    flow_net = nx.DiGraph()
-    source, sink = ("S",), ("T",)
-    for v in rest:
-        flow_net.add_edge(("in", v), ("out", v), capacity=1)
-    for u, v in graph.subgraph(rest).edges:
-        flow_net.add_edge(("out", u), ("in", v), capacity=1)
-        flow_net.add_edge(("out", v), ("in", u), capacity=1)
-    for v in sources:
-        flow_net.add_edge(source, ("in", v), capacity=1)
-    for v in sinks:
-        flow_net.add_edge(("out", v), sink, capacity=1)
-    value, _ = nx.maximum_flow(flow_net, source, sink)
-    return int(value)
+    csr = kernel_for(graph).packed()
+    index_of = csr.index_of
+    indptr, indices = csr.rows()
+    n = csr.n
+    rest = bytearray(b"\x01") * n
+    hubs = []
+    for side, hub in ((1, a_set), (2, b_set)):
+        for label in hub:
+            i = index_of.get(label)
+            if i is not None:
+                rest[i] = 0
+                hubs.append((side, i))
+    boundary = bytearray(n)  # bit 1: next to A (a source), bit 2: next to B
+    for side, i in hubs:
+        for w in indices[indptr[i] : indptr[i + 1]]:
+            if rest[w]:
+                boundary[w] |= side
+    sources = [v for v in range(n) if boundary[v] & 1]
+    bound = min(len(sources), sum(1 for flags in boundary if flags & 2))
+    into = [_NONE] * n
+    out = [_NONE] * n
+    flow = 0
+    while flow < bound:
+        parent = [_NONE] * (2 * n)
+        queue = [2 * v for v in sources if into[v] != _SOURCE]
+        for s in queue:
+            parent[s] = _SOURCE
+        end = _NONE
+        for s in queue:
+            v = s >> 1
+            if not s & 1:  # v_in: through v if it is free, else back along its flow
+                pred = into[v]
+                if pred == _NONE:
+                    t = s + 1
+                elif pred >= 0:
+                    t = 2 * pred + 1
+                else:
+                    continue
+                if parent[t] == _NONE:
+                    parent[t] = s
+                    queue.append(t)
+                continue
+            if boundary[v] & 2 and out[v] != _SINK:
+                end = s
+                break
+            nxt = out[v]
+            for w in indices[indptr[v] : indptr[v + 1]]:
+                t = 2 * w
+                if rest[w] and w != v and w != nxt and parent[t] == _NONE:
+                    parent[t] = s
+                    queue.append(t)
+            if into[v] != _NONE and parent[s - 1] == _NONE:
+                parent[s - 1] = s
+                queue.append(s - 1)
+        if end == _NONE:
+            break
+        out[end >> 1] = _SINK
+        s = end
+        while True:
+            p = parent[s]
+            v = s >> 1
+            if p == _SOURCE:
+                into[v] = _SOURCE
+                break
+            u = p >> 1
+            # Arcs are applied last to first; an arc inside one vertex
+            # (v_in → v_out or back) leaves its state to the arcs around it.
+            if u != v:
+                if p & 1:  # u_out → v_in: new flow on u → v
+                    out[u] = v
+                    into[v] = u
+                else:  # u_in → v_out: cancel the flow v → u
+                    if out[v] == u:  # unless a later arc re-routed v
+                        out[v] = _NONE
+                    into[u] = _NONE
+            s = p
+        flow += 1
+    return flow
 
 
 def largest_k2t_minor_singleton_hubs(graph: nx.Graph) -> int:

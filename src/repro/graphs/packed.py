@@ -265,15 +265,20 @@ class PackedGraphKernel:
         "_lab_sorted_idx",
         "_index_of",
         "full_mask",
-        "_closed",
-        "_back_ports",
-        "_m",
+        "_derived",
         "_bitsets",
         "memo",
         "__weakref__",
     )
 
-    def __init__(self, labels: Sequence[Vertex], indptr, indices, index_of: dict | None = None):
+    def __init__(
+        self,
+        labels: Sequence[Vertex],
+        indptr,
+        indices,
+        index_of: dict | None = None,
+        derived: dict | None = None,
+    ):
         self.n = len(labels)
         self.labels = labels if isinstance(labels, list) else list(labels)
         self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
@@ -286,9 +291,9 @@ class PackedGraphKernel:
         self._lab_sorted_idx = None
         self._index_of = index_of
         self.full_mask = (1 << self.n) - 1
-        self._closed = None
-        self._back_ports = None
-        self._m = None
+        # Lazily built arrays that depend only on the CSR ("closed",
+        # "back_ports", "m"); bitsets() shares this dict with its twin.
+        self._derived = {} if derived is None else derived
         self._bitsets = None
         self.memo = {}
 
@@ -333,13 +338,17 @@ class PackedGraphKernel:
         sits on a second CSR kernel that shares this one's arrays, so
         nothing points back here and no reference cycle forms.  It costs
         up to n²/8 bytes, so only those searches ever build it;
-        whole-graph pipelines and validation never do.
+        whole-graph pipelines and validation never do.  The two CSR
+        kernels share one dict of derived arrays, which points at
+        neither, so ``_closed_csr`` and the back ports are built once.
         """
         if self._bitsets is None:
             from repro.graphs.kernel import GraphKernel
 
             self._bitsets = GraphKernel.over(
-                PackedGraphKernel(self.labels, self.indptr, self.indices, self.index_of)
+                PackedGraphKernel(
+                    self.labels, self.indptr, self.indices, self.index_of, self._derived
+                )
             )
         return self._bitsets
 
@@ -361,19 +370,23 @@ class PackedGraphKernel:
         O(n + m) words, built once on demand — the *row* form of the
         int backend's ``closed_bits`` table, without the n²-bit cost.
         """
-        if self._closed is None:
+        closed = self._derived.get("closed")
+        if closed is None:
             arange = np.arange(self.n, dtype=np.int64)
             rows = np.concatenate([np.repeat(arange, np.diff(self.indptr)), arange])
-            self._closed = _csr_of_slots(self.n, rows, np.concatenate([self.indices, arange]))
-        return self._closed
+            closed = self._derived["closed"] = _csr_of_slots(
+                self.n, rows, np.concatenate([self.indices, arange])
+            )
+        return closed
 
     def edge_count(self) -> int:
         """Number of undirected edges (self-loops counted once)."""
-        if self._m is None:
+        m = self._derived.get("m")
+        if m is None:
             rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
             loops = int((self.indices == rows).sum())
-            self._m = (int(self.indices.size) - loops) // 2 + loops
-        return self._m
+            m = self._derived["m"] = (int(self.indices.size) - loops) // 2 + loops
+        return m
 
     # -- label <-> index <-> mask conversions --
 
@@ -497,11 +510,12 @@ class PackedGraphKernel:
         each CSR slot ``s = (u, v)`` in order, exactly the reverse slot
         ``(v, u)``, so one lexsort finds every back port.
         """
-        if self._back_ports is None:
+        ports = self._derived.get("back_ports")
+        if ports is None:
             rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
             reverse_slot = np.lexsort((rows, self.indices))
-            self._back_ports = reverse_slot - self.indptr[self.indices]
-        return self._back_ports
+            ports = self._derived["back_ports"] = reverse_slot - self.indptr[self.indices]
+        return ports
 
     # -- structural surgery --
 

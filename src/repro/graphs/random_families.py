@@ -17,6 +17,7 @@ from typing import Hashable, Sequence
 import networkx as nx
 
 from repro.graphs.ding import Attachment, augment, make_fan, make_strip
+from repro.graphs.kernel import invalidate_kernel
 
 Vertex = Hashable
 
@@ -182,9 +183,12 @@ def random_k2t_free(
     rng.shuffle(candidates)
     budget = int(density * len(candidates))
     for u, v in candidates[:budget]:
+        # The detector reads the graph's kernel, so drop it after each edit.
         graph.add_edge(u, v)
+        invalidate_kernel(graph)
         if largest_k2t_minor_singleton_hubs(graph) >= t:
             graph.remove_edge(u, v)
+            invalidate_kernel(graph)
     return graph
 
 

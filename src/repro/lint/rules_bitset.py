@@ -52,6 +52,7 @@ MASK_PARAM_CALLS = {
     "components_of_mask",
     "count_components_of_mask",
     "is_mask_connected",
+    "articulation_scan",
     "iter_bits",
 }
 

@@ -63,7 +63,7 @@ class Network:
 
         Mutates the underlying graph, then goes through the kernel
         mutation contract — ``invalidate_kernel`` on every exit path,
-        fresh ``kernel_for`` — so under ``REPRO_KERNEL_GUARD=1`` no
+        then a fresh CSR kernel — so under ``REPRO_KERNEL_GUARD=1`` no
         stale CSR can survive a churn round.  Port lists are re-derived
         *incrementally*: only vertices whose adjacency actually changed
         (``changed``) get their ports rebuilt, in place on the existing
@@ -102,7 +102,10 @@ class Network:
                     changed.discard(event.u)
         finally:
             invalidate_kernel(graph)
-        self._use(kernel_for(graph).packed())
+        # Only the CSR is read here, so build just that: kernel_for would
+        # also build the int kernel's O(n²/8) bitset table below the
+        # packed threshold, once per churn round.
+        self._use(PackedGraphKernel.from_graph(graph))
         changed.difference_update(set(left) - set(joined))
         for v in left:
             self.nodes.pop(v, None)

@@ -274,6 +274,28 @@ class TestKernelAgainstNetworkx:
             expected = len(legacy_closed_neighborhood_of_set(graph, [v]) & undominated)
             assert spans[kernel.index(v)] == expected
 
+    @pytest.mark.parametrize(
+        "graph",
+        oracle_graphs()
+        + [with_self_loops(nx.gnp_random_graph(30, 0.12, seed=4), range(0, 30, 4))],
+        ids=lambda g: f"n{len(g)}",
+    )
+    def test_articulation_scan(self, graph):
+        """Components, sizes and cut vertices equal networkx's on induced
+        subgraphs (self-loops dropped: they never make a cut vertex)."""
+        kernel = kernel_for(graph).bitsets()
+        nodes = sorted(graph.nodes, key=repr)
+        for subset in (nodes, nodes[::2], nodes[1::3], nodes[: len(nodes) // 2], []):
+            induced = nx.Graph(graph.subgraph(subset))
+            induced.remove_edges_from(nx.selfloop_edges(induced))
+            components = list(nx.connected_components(induced))
+            count, sizes, cut_mask = kernel.articulation_scan(kernel.bits_of(subset))
+            assert count == len(components)
+            assert {kernel.label(i): size for i, size in enumerate(sizes) if size} == {
+                v: len(component) for component in components for v in component
+            }
+            assert kernel.labels_of(cut_mask) == set(nx.articulation_points(induced))
+
     @pytest.mark.parametrize("graph", oracle_graphs(), ids=lambda g: f"n{len(g)}")
     def test_gamma_and_d2(self, graph):
         for v in graph.nodes:

@@ -159,11 +159,27 @@ def test_kernels_form_no_reference_cycle():
         view = packed.bitsets()
         assert view.packed() is not packed
         assert np.shares_memory(view.packed().indices, packed.indices)
+        assert view.packed()._closed_csr() is packed._closed_csr()  # shared, not rebuilt
         refs = [weakref.ref(obj) for obj in (kernel, csr, packed, view)]
         del kernel, csr, packed, view
         assert [ref() for ref in refs] == [None] * 4
     finally:
         gc.enable()
+
+
+def test_bitsets_twin_shares_the_derived_csr_arrays(restore_backend):
+    """B&B reads the closed CSR through the bitset table's kernel, and
+    ``d2`` through the packed kernel: it is built once for both."""
+    set_kernel_backend("packed")
+    graph = get_family("ladder").make(20, 0)
+    kernel = kernel_for(graph)
+    for algorithm in ("exact", "d2"):
+        assert solve(graph, algorithm, RunConfig(validate="valid")).valid
+    twin = kernel.bitsets().packed()
+    assert twin is not kernel
+    assert twin._closed_csr() is kernel._closed_csr()
+    assert twin.back_ports() is kernel.back_ports()
+    assert twin.edge_count() == kernel.edge_count() == graph.number_of_edges()
 
 
 def test_backend_threshold_boundary(restore_backend):

@@ -35,7 +35,8 @@ from repro.graphs.cuts import (
     minimal_two_cuts,
     two_cuts,
 )
-from repro.graphs.kernel import invalidate_kernel
+from repro.graphs import local_cuts as local_cuts_module
+from repro.graphs.kernel import GraphKernel, invalidate_kernel, kernel_for
 from repro.graphs.local_cuts import (
     interesting_vertices,
     interesting_vertices_of_cuts,
@@ -75,6 +76,7 @@ from tests.oracles.graphs import (
     legacy_remove_true_twins,
     legacy_true_twin_classes,
     legacy_two_cuts,
+    legacy_two_cuts_uncached,
     legacy_weak_diameter,
 )
 
@@ -96,8 +98,25 @@ def diff_graphs():
         ("unsortable-mixed", unsortable_mixed()),
         ("zero-node", nx.Graph()),
         ("isolated", with_isolated(gen.ladder(3), [100, 101])),
+        # Hub graphs: most candidate pairs of a vertex share one arena,
+        # so the enumeration settles them with one articulation scan.
+        ("star9", gen.star(9)),
+        ("fan10", gen.fan(10)),
+        ("wheel8", gen.wheel(8)),
+        ("fan-chain3x4", gen.fan_chain(3, 4)),
+        ("clique-pendants8", gen.clique_with_pendants(8)),
+        ("hubs-disconnected", hubs_disconnected()),
     ]
     return cases
+
+
+def hubs_disconnected():
+    """A star, a wheel, a fan with a pendant on its apex, and a lone edge,
+    side by side."""
+    fan = gen.fan(6)
+    fan.add_edge(0, 7)  # the apex's arena minus the apex: the path and {7}
+    parts = [gen.star(7), gen.wheel(6), fan, nx.path_graph(2)]
+    return nx.union_all(parts, rename=("s", "w", "f", "e"))  # "f0" is the apex
 
 
 GRAPHS = diff_graphs()
@@ -154,6 +173,83 @@ class TestLocalCutsAgainstLegacy:
             assert is_interesting_vertex(graph, v, 2) == (
                 legacy_is_interesting_vertex(graph, v, 2)
             )
+
+
+# -- the bucketed 2-cut enumeration ----------------------------------------
+
+
+class TestBucketedTwoCuts:
+    """One articulation scan per ``(u, arena)`` bucket, pinned to the
+    per-pair flood fills it replaced, order included."""
+
+    @pytest.mark.parametrize("graph", JUST_GRAPHS, ids=IDS)
+    def test_matches_per_pair_enumeration(self, graph):
+        kernel = kernel_for(graph).bitsets()
+        for r in (1, 2, 3):
+            for minimal in (True, False):
+                assert list(local_cuts_module._two_cuts_uncached(kernel, r, minimal)) == (
+                    list(legacy_two_cuts_uncached(kernel, r, minimal))
+                )
+
+    def test_zoo_reaches_every_case(self, monkeypatch):
+        """The zoo drives every outcome of the bucketed test: ``A − u``
+        connected, two components with a partner ``{v}`` alone in one,
+        three or more components, and (on the flood-fill side) an empty
+        rest."""
+        seen = set()
+        bucket_hits = local_cuts_module._bucket_hits
+        splits = local_cuts_module._splits_arena
+
+        def recording_bucket_hits(kernel, arena, u, partners, *args):
+            count, sizes, _ = kernel.articulation_scan(arena & ~(1 << u))
+            if count == 1:
+                seen.add("connected")
+            elif count == 2 and any(sizes[v] == 1 for v in partners):
+                seen.add("two, one a lone partner")
+            elif count >= 3:
+                seen.add("three or more")
+            return bucket_hits(kernel, arena, u, partners, *args)
+
+        def recording_splits(kernel, arena, cut_mask):
+            if not arena & ~cut_mask:
+                seen.add("empty rest")
+            return splits(kernel, arena, cut_mask)
+
+        monkeypatch.setattr(local_cuts_module, "_bucket_hits", recording_bucket_hits)
+        monkeypatch.setattr(local_cuts_module, "_splits_arena", recording_splits)
+        for graph in JUST_GRAPHS:
+            kernel = kernel_for(graph).bitsets()
+            for r in (2, 3):
+                for minimal in (True, False):
+                    list(local_cuts_module._two_cuts_uncached(kernel, r, minimal))
+        assert seen == {"connected", "two, one a lone partner", "three or more", "empty rest"}
+
+    def test_star_work_is_linear(self, monkeypatch):
+        """On a star every pair of a vertex shares the whole graph as
+        arena: at most n scans plus flood fills, not one to three fills
+        for each of the ~n²/2 pairs."""
+        graph = gen.star(48)
+        n = graph.number_of_nodes()
+        kernel = kernel_for(graph).bitsets()
+        work = {"scans": 0, "fills": 0}
+        scan = GraphKernel.articulation_scan
+        fill = GraphKernel.component_bits
+
+        def counting_scan(self, mask):
+            work["scans"] += 1
+            return scan(self, mask)
+
+        def counting_fill(self, seed, within):
+            work["fills"] += 1
+            return fill(self, seed, within)
+
+        monkeypatch.setattr(GraphKernel, "articulation_scan", counting_scan)
+        monkeypatch.setattr(GraphKernel, "component_bits", counting_fill)
+        cuts = list(local_cuts_module._two_cuts_uncached(kernel, 3, True))
+        assert work["scans"] + work["fills"] <= n
+        work.update(scans=0, fills=0)
+        assert list(legacy_two_cuts_uncached(kernel, 3, True)) == cuts
+        assert work["scans"] == 0 and work["fills"] >= n * (n - 1) // 2
 
 
 # -- differential: global cuts ---------------------------------------------

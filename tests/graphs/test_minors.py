@@ -1,11 +1,14 @@
 """Tests for K_{2,t}-minor detection."""
 
+from itertools import combinations
+
 import networkx as nx
 import pytest
 
 from repro.graphs import generators as gen
 from repro.graphs.families import FAMILIES
 from repro.graphs.minors import (
+    _connected_sets,
     edge_density_certificate,
     has_k2t_minor,
     has_minor,
@@ -14,8 +17,11 @@ from repro.graphs.minors import (
     largest_k2t_minor_singleton_hubs,
     max_connectors,
 )
-from tests.oracles.cases import atlas
-from tests.oracles.graphs import legacy_largest_k2t_minor_singleton_hubs
+from tests.oracles.cases import atlas, mixed_path, with_self_loops
+from tests.oracles.graphs import (
+    legacy_largest_k2t_minor_singleton_hubs,
+    legacy_max_connectors,
+)
 
 
 class TestMaxConnectors:
@@ -40,6 +46,62 @@ class TestMaxConnectors:
         g = gen.theta(4, 4)
         # growing a hub along one path cannot create new connectors
         assert max_connectors(g, {0, 2}, {1}) <= 4
+
+
+def _hub_pairs(graph, singletons: int, sets: int):
+    """Deterministic hub pairs: every singleton pair among the first
+    ``singletons`` vertices (repr order), then up to ``sets`` disjoint
+    pairs of connected sets with two or three vertices."""
+    nodes = sorted(graph.nodes, key=repr)[:singletons]
+    pairs = [({a}, {b}) for a, b in combinations(nodes, 2)]
+    multi = [hub for hub in _connected_sets(graph, 3) if len(hub) > 1]
+    for hub_a, hub_b in combinations(multi[::3], 2):
+        if len(pairs) >= len(nodes) * (len(nodes) - 1) // 2 + sets:
+            break
+        if not hub_a & hub_b:
+            pairs.append((hub_a, hub_b))
+    return pairs
+
+
+class TestMaxConnectorsAgainstLegacy:
+    """The CSR augmenting-path count equals the ``nx`` preflow-push
+    value it replaced, on singleton and multi-vertex hubs."""
+
+    def test_atlas(self):
+        for graph in atlas(step=3):
+            for hub_a, hub_b in _hub_pairs(graph, 4, 3):
+                assert max_connectors(graph, hub_a, hub_b) == (
+                    legacy_max_connectors(graph, hub_a, hub_b)
+                ), (sorted(graph.edges), hub_a, hub_b)
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_family_graphs(self, name):
+        for n in (12, 30):
+            graph = FAMILIES[name].make(n, 0)
+            for hub_a, hub_b in _hub_pairs(graph, 8, 10):
+                assert max_connectors(graph, hub_a, hub_b) == (
+                    legacy_max_connectors(graph, hub_a, hub_b)
+                )
+
+    def test_odd_labels_self_loops_and_absent_hub_labels(self):
+        graph = with_self_loops(gen.wheel(7), [0, 3])
+        for hub_a, hub_b in _hub_pairs(graph, 8, 10):
+            assert max_connectors(graph, hub_a, hub_b) == (
+                legacy_max_connectors(graph, hub_a, hub_b)
+            )
+        mixed = mixed_path()
+        for hub_a, hub_b in _hub_pairs(mixed, 8, 10) + [({0, "ghost"}, {11})]:
+            assert max_connectors(mixed, hub_a, hub_b) == (
+                legacy_max_connectors(mixed, hub_a, hub_b)
+            )
+
+    def test_larger_random_graphs(self):
+        for seed in range(4):
+            graph = nx.gnp_random_graph(40, 0.12, seed=seed)
+            for hub_a, hub_b in _hub_pairs(graph, 8, 10):
+                assert max_connectors(graph, hub_a, hub_b) == (
+                    legacy_max_connectors(graph, hub_a, hub_b)
+                )
 
 
 class TestSingletonHubs:

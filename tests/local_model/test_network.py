@@ -88,3 +88,31 @@ class TestDelivery:
         net = Network(path5, ids)
         back = net.uid_to_vertex()
         assert all(back[ids[v]] == v for v in path5.nodes)
+
+
+class TestChurn:
+    def test_churn_builds_only_the_csr_kernel(self, monkeypatch):
+        """A churn round re-reads ports from a fresh CSR kernel and never
+        builds the int kernel's bitset table."""
+        from repro.graphs.kernel import GraphKernel, kernel_for
+        from repro.local_model.adversary import ChurnEvent
+
+        graph = nx.path_graph(6)
+        net = Network(graph)
+        tables = []
+        layer = GraphKernel._layer
+
+        def counting_layer(self, csr):
+            tables.append(csr.n)
+            layer(self, csr)
+
+        monkeypatch.setattr(GraphKernel, "_layer", counting_layer)
+        changed, joined, left = net.apply_churn(
+            [ChurnEvent(1, "add_edge", 0, 5), ChurnEvent(1, "join", 9, 2)]
+        )
+        assert tables == []
+        assert net.kernel.backend == "packed"
+        assert (changed, joined, left) == ({0, 5, 9, 2}, [9], [])
+        assert net.nodes[0].ports == [1, 5]
+        assert net.nodes[9].ports == [2]
+        assert net.kernel.to_wire() == kernel_for(graph).packed().to_wire()

@@ -14,6 +14,8 @@ from itertools import combinations
 
 import networkx as nx
 
+from repro.graphs.kernel import iter_bits
+from repro.graphs.local_cuts import _ball_mask, _ball_masks, _is_local_two_cut_idx
 from repro.graphs.minors import max_connectors
 
 
@@ -362,3 +364,48 @@ def legacy_largest_k2t_minor_singleton_hubs(graph):
     for a, b in combinations(nodes, 2):
         best = max(best, max_connectors(graph, {a}, {b}))
     return best
+
+
+# -- graphs/local_cuts.py per-pair 2-cut enumeration, as of 5bdc5b8 ----------
+
+
+def legacy_two_cuts_uncached(kernel, r, minimal):
+    """One to three flood fills per candidate pair, verbatim (a generator
+    over the cuts of ``kernel``, a bitset kernel)."""
+    table = _ball_masks(kernel, r)
+    labels = kernel.labels
+    for u in range(kernel.n):
+        ball_u = _ball_mask(kernel, table, u, r)
+        for dv in iter_bits(ball_u >> (u + 1)):
+            v = u + 1 + dv
+            if _is_local_two_cut_idx(kernel, table, u, v, r, minimal):
+                yield frozenset({labels[u], labels[v]})
+
+
+# -- graphs/minors.py max-flow connector count, as of 5bdc5b8 -----------------
+
+
+def legacy_max_connectors(graph, hub_a, hub_b):
+    """The node-split ``nx`` flow network and preflow-push, verbatim."""
+    a_set, b_set = set(hub_a), set(hub_b)
+    if a_set & b_set:
+        raise ValueError("hub sets must be disjoint")
+    rest = set(graph.nodes) - a_set - b_set
+    sources = {v for v in rest if any(w in a_set for w in graph.neighbors(v))}
+    sinks = {v for v in rest if any(w in b_set for w in graph.neighbors(v))}
+    if not sources or not sinks:
+        return 0
+
+    flow_net = nx.DiGraph()
+    source, sink = ("S",), ("T",)
+    for v in rest:
+        flow_net.add_edge(("in", v), ("out", v), capacity=1)
+    for u, v in graph.subgraph(rest).edges:
+        flow_net.add_edge(("out", u), ("in", v), capacity=1)
+        flow_net.add_edge(("out", v), ("in", u), capacity=1)
+    for v in sources:
+        flow_net.add_edge(source, ("in", v), capacity=1)
+    for v in sinks:
+        flow_net.add_edge(("out", v), sink, capacity=1)
+    value, _ = nx.maximum_flow(flow_net, source, sink)
+    return int(value)
